@@ -33,17 +33,17 @@ class ExternalAttention:
 
 
 def double_normalize(a: Tensor) -> Tensor:
-    """Column softmax (over pixels) then row L1 norm (over memory units)."""
-    if a.data.ndim != 2:
-        raise DimensionError("double_normalize expects an [N,S] tensor")
+    """Column softmax over pixels, then row L1 norm over memory units; [..., N,S]."""
+    if a.data.ndim < 2:
+        raise DimensionError("double_normalize expects an [..., N,S] tensor")
     # softmax output is strictly positive, so the L1 guard can be tiny;
     # this keeps row sums within 1e-9 of 1 even for a single memory unit
-    return T.l1_normalize_axis(T.softmax_axis(a, axis=0), axis=1, eps=1e-300)
+    return T.l1_normalize_axis(T.softmax_axis(a, axis=-2), axis=-1, eps=1e-300)
 
 
 def external_attention_forward(att: ExternalAttention, f: Tensor) -> Tensor:
-    """Refined features: double-normalized (F . M_k^T) applied to M_v."""
-    if f.data.ndim != 2 or f.data.shape[1] != att.d:
+    """Refined features [..., N,d]: double-normalized (F . M_k^T) applied to M_v."""
+    if f.data.ndim < 2 or f.data.shape[-1] != att.d:
         raise DimensionError(
             f"feature dim mismatch: {f.data.shape} vs d={att.d}")
     weights = double_normalize(T.matmul(f, T.transpose2d(att.m_k)))
@@ -51,7 +51,7 @@ def external_attention_forward(att: ExternalAttention, f: Tensor) -> Tensor:
 
 
 class AttentionStage:
-    """Pointwise lift, per-item external attention with residual, pointwise reduce."""
+    """Pointwise lift, external attention with residual, pointwise reduce."""
 
     def __init__(self, c_in, d, c_out, s=16, rng=None):
         self.lift = Conv2d(c_in, d, 1, rng=rng)
@@ -60,16 +60,11 @@ class AttentionStage:
 
     def __call__(self, x: Tensor) -> Tensor:
         b, _, h, w = x.data.shape
-        lifted = self.lift(x)
         d = self.att.d
-        items = []
-        for i in range(b):
-            fm = T.reshape(T.batch_slice(lifted, i), (d, h * w))
-            f = T.transpose2d(fm)  # [N, d]
-            refined = T.add(external_attention_forward(self.att, f), f)
-            items.append(T.reshape(T.transpose2d(refined), (1, d, h, w)))
-        merged = items[0] if b == 1 else T.concat_batch(items)
-        return self.reduce(merged)
+        # [B,d,H,W] -> [B,N,d]: every image attends over its own pixels
+        f = T.transpose2d(T.reshape(self.lift(x), (b, d, h * w)))
+        refined = T.add(external_attention_forward(self.att, f), f)
+        return self.reduce(T.reshape(T.transpose2d(refined), (b, d, h, w)))
 
     def named_params(self, prefix):
         return (self.lift.named_params(prefix + ".lift")

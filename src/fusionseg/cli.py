@@ -6,12 +6,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
-from .config import TrainConfig
+from .config import TrainConfig, field_types, read_json_object
 from .errors import ConfigurationError, FusionSegError
 from .gan import pretrain_gan
+from .segnet import AblationConfig
 from .synthdata import SceneSpec, load_split, make_dataset
 from .training import (build_net, evaluate, export_maps, format_ablation_table,
                        run_ablation, train)
@@ -26,54 +26,23 @@ def _log(msg):
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--data-dir")
-    p.add_argument("--out-dir")
-    p.add_argument("--gan-checkpoint")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr-init", type=float)
-    p.add_argument("--lr-min", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--gan-iterations", type=int)
-    p.add_argument("--gan-lr", type=float)
-    p.add_argument("--image-size", type=int)
-    p.add_argument("--width-mult", type=float)
-    p.add_argument("--depth-mult", type=float)
-    p.add_argument("--n-train", type=int)
-    p.add_argument("--n-val", type=int)
-    p.add_argument("--n-test", type=int)
-    p.add_argument("--use-gan", action="store_true", default=None)
-    p.add_argument("--use-attention", action="store_true", default=None)
-    p.add_argument("--use-combine", action="store_true", default=None)
+    for cls in (TrainConfig, AblationConfig):
+        for name, kind in field_types(cls).items():
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None)
+            elif kind is not dict:
+                p.add_argument(flag, type=kind)
 
 
 def _build_config(args) -> TrainConfig:
-    base = asdict(TrainConfig())
-    if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        base.update(loaded)
-    flag_map = {
-        "data_dir": args.data_dir, "out_dir": args.out_dir,
-        "gan_checkpoint": args.gan_checkpoint, "seed": args.seed,
-        "epochs": args.epochs, "batch_size": args.batch_size,
-        "lr_init": args.lr_init, "lr_min": args.lr_min,
-        "weight_decay": args.weight_decay,
-        "gan_iterations": args.gan_iterations, "gan_lr": args.gan_lr,
-        "image_size": args.image_size, "width_mult": args.width_mult,
-        "depth_mult": args.depth_mult, "n_train": args.n_train,
-        "n_val": args.n_val, "n_test": args.n_test,
-    }
-    for k, v in flag_map.items():
-        if v is not None:
-            base[k] = v
-    ablation = dict(base.get("ablation") or {})
-    for k, v in (("use_gan", args.use_gan),
-                 ("use_attention", args.use_attention),
-                 ("use_combine", args.use_combine)):
-        if v is not None:
-            ablation[k] = v
-    base["ablation"] = ablation
+    base = read_json_object(args.config) if args.config else {}
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    base.update({k: flags[k] for k in field_types(TrainConfig) if k in flags})
+    switches = {k: flags[k] for k in field_types(AblationConfig) if k in flags}
+    ablation = base.get("ablation", {})
+    if switches and isinstance(ablation, dict):  # else from_dict rejects it
+        base["ablation"] = {**ablation, **switches}
     return TrainConfig.from_dict(base)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -49,15 +49,51 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        abl = d.pop("ablation", {})
+        d = _checked(cls, d, "config")
+        abl = _checked(AblationConfig, d.pop("ablation", {}), "ablation")
         cfg = cls(**d, ablation=AblationConfig(**abl))
         cfg.validate()
         return cfg
 
     @classmethod
     def from_json_file(cls, path) -> "TrainConfig":
-        p = Path(path)
-        if not p.exists():
-            raise ConfigurationError(f"config file not found: {p}")
-        return cls.from_dict(json.loads(p.read_text()))
+        return cls.from_dict(read_json_object(path))
+
+
+def field_types(cls) -> dict:
+    """Field name -> JSON type: a scalar's default type, dict for a nested config."""
+    return {f.name: dict if f.default is MISSING else type(f.default)
+            for f in fields(cls)}
+
+
+def _checked(cls, d, where) -> dict:
+    """d with unknown keys and mistyped values rejected; ints widen to float."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    types = field_types(cls)
+    out = {}
+    for key, value in d.items():
+        if key not in types:
+            raise ConfigurationError(f"unknown {where} key: {key!r}")
+        if types[key] is float and type(value) is int:
+            value = float(value)
+        if type(value) is not types[key]:
+            raise ConfigurationError(
+                f"{where} key {key!r} must be {types[key].__name__}, "
+                f"got {type(value).__name__}")
+        out[key] = value
+    return out
+
+
+def read_json_object(path) -> dict:
+    """Parse a JSON config file; a missing or malformed file is a config error."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigurationError(f"config file not found: {p}")
+    try:
+        d = json.loads(p.read_text())
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigurationError(f"malformed config file {p}: {e}") from None
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"config file {p} must hold a JSON object")
+    return d

@@ -83,21 +83,19 @@ class DiscriminatorNet:
         return collect_params([(f"{prefix}{n}", l) for n, l in layers])
 
 
-def generate(g: GeneratorNet, x: Tensor) -> Tensor:
-    return g(x)
-
-
 def adversarial_losses(d_real: Tensor, d_fake: Tensor):
     """Least-squares GAN losses: loss_D pulls real->1, fake->0; loss_G fake->1."""
-    loss_d = T.scale(T.add(
-        T.reduce_mean(_square(T.scale(d_real, 1.0, -1.0))),
-        T.reduce_mean(_square(d_fake))), 0.5)
-    loss_g = T.reduce_mean(_square(T.scale(d_fake, 1.0, -1.0)))
-    return loss_d, loss_g
+    return _disc_loss(d_real, d_fake), _ls_loss(d_fake, 1.0)
 
 
-def _square(x):
-    return T.mul(x, x)
+def _disc_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
+    return T.scale(T.add(_ls_loss(d_real, 1.0), _ls_loss(d_fake, 0.0)), 0.5)
+
+
+def _ls_loss(score: Tensor, target: float) -> Tensor:
+    """Mean squared distance of discriminator scores from a 0/1 target."""
+    diff = T.scale(score, 1.0, -target)
+    return T.reduce_mean(T.mul(diff, diff))
 
 
 def cycle_loss(x: Tensor, x_rec: Tensor, lambda_cyc: float) -> Tensor:
@@ -148,8 +146,8 @@ def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
     fake_x = pair.g_yx(batch_y)
     rec_x = pair.g_yx(fake_y)
     rec_y = pair.g_xy(fake_x)
-    loss_g_xy = T.reduce_mean(_square(T.scale(pair.d_y(fake_y), 1.0, -1.0)))
-    loss_g_yx = T.reduce_mean(_square(T.scale(pair.d_x(fake_x), 1.0, -1.0)))
+    loss_g_xy = _ls_loss(pair.d_y(fake_y), 1.0)
+    loss_g_yx = _ls_loss(pair.d_x(fake_x), 1.0)
     cyc_x = cycle_loss(batch_x, rec_x, pair.lambda_cyc)
     cyc_y = cycle_loss(batch_y, rec_y, pair.lambda_cyc)
     gen_total = T.add(T.add(loss_g_xy, loss_g_yx), T.add(cyc_x, cyc_y))
@@ -160,14 +158,8 @@ def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
     # discriminator phase (generators frozen; fakes detached)
     zero_grads(pair.gen_params)
     zero_grads(pair.disc_params)
-    fake_y_det = fake_y.detach()
-    fake_x_det = fake_x.detach()
-    loss_d_y = T.scale(T.add(
-        T.reduce_mean(_square(T.scale(pair.d_y(batch_y), 1.0, -1.0))),
-        T.reduce_mean(_square(pair.d_y(fake_y_det)))), 0.5)
-    loss_d_x = T.scale(T.add(
-        T.reduce_mean(_square(T.scale(pair.d_x(batch_x), 1.0, -1.0))),
-        T.reduce_mean(_square(pair.d_x(fake_x_det)))), 0.5)
+    loss_d_y = _disc_loss(pair.d_y(batch_y), pair.d_y(fake_y.detach()))
+    loss_d_x = _disc_loss(pair.d_x(batch_x), pair.d_x(fake_x.detach()))
     disc_total = T.add(loss_d_y, loss_d_x)
     disc_total.backward()
     for name, p in pair.disc_params:

@@ -100,21 +100,26 @@ def as_tensor(x):
 # linear algebra
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """[..., n, k] x [k, m]; a shared right operand gets the batch-summed grad."""
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise DimensionError(
             f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
     out = a.data @ b.data
 
     def backward(g):
-        return (g @ b.data.T, a.data.T @ g)
+        k, m = b.data.shape
+        return (g @ b.data.T, a.data.reshape(-1, k).T @ g.reshape(-1, m))
 
     return _node(out, (a, b), backward)
 
 
 def transpose2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise DimensionError("transpose2d expects a 2-d tensor")
-    return _node(x.data.T.copy(), (x,), lambda g: (g.T,))
+    """Swap the last two axes."""
+    if x.data.ndim < 2:
+        raise DimensionError("transpose2d expects a tensor of rank >= 2")
+    # the gradient is copied: a strided view slows every einsum it reaches
+    return _node(np.swapaxes(x.data, -1, -2).copy(), (x,),
+                 lambda g: (np.swapaxes(g, -1, -2).copy(),))
 
 
 def reshape(x: Tensor, shape) -> Tensor:

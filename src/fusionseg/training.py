@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,8 +165,7 @@ def run_ablation(config: TrainConfig, log=print):
         sar_test, mask_test, _ = load_split(config.data_dir, "val")
     rows = []
     for name, ablation in ABLATION_ROWS:
-        cfg = TrainConfig.from_dict({**_config_dict(config),
-                                     "ablation": vars(ablation)})
+        cfg = replace(config, ablation=ablation)
         net, _ = train(cfg, log=None)
         result = evaluate(net, sar_test, mask_test, cfg.batch_size)
         rows.append({"config": name,
@@ -177,11 +177,6 @@ def run_ablation(config: TrainConfig, log=print):
         if log:
             log(f"{name}: fwiou={result['fwiou']:.5f}")
     return rows
-
-
-def _config_dict(config: TrainConfig) -> dict:
-    from dataclasses import asdict
-    return asdict(config)
 
 
 def format_ablation_table(rows) -> str:

@@ -86,6 +86,15 @@ class TestExternalAttentionForward:
         for leaf in (f, att.m_k, att.m_v):
             assert grad_check(loss_via(leaf), leaf) < 1e-4
 
+    def test_batched_equals_stacked(self):
+        att = make_att(5, 4, seed=6)
+        f = np.random.default_rng(6).normal(size=(3, 7, 4))
+        out = external_attention_forward(att, Tensor(f)).data
+        stacked = np.stack([external_attention_forward(att, Tensor(fi)).data
+                            for fi in f])
+        assert out.shape == (3, 7, 4)
+        assert np.abs(out - stacked).max() < 1e-12
+
 
 class TestAttentionStage:
     def test_output_shape(self):
@@ -119,3 +128,24 @@ class TestAttentionStage:
         stage = AttentionStage(1, 3, 2, s=4, rng=np.random.default_rng(12))
         assert stage.att.m_k.data.shape == (4, 3)
         assert stage.att.m_v.data.shape == (4, 3)
+
+    def test_batch_matches_single_images(self):
+        rng = np.random.default_rng(13)
+        stage = AttentionStage(2, 3, 4, s=5, rng=rng)
+        x = rng.normal(size=(3, 2, 4, 5))
+        r = rng.normal(size=(3, 4, 4, 5))
+        params = stage.named_params("s")
+
+        def run(xs, rs):
+            for _, p in params:
+                p.zero_grad()
+            out = stage(Tensor(xs))
+            T.reduce_sum(T.mul(out, Tensor(rs))).backward()
+            return out.data, {n: p.grad.copy() for n, p in params}
+
+        out, grads = run(x, r)
+        singles = [run(x[i:i + 1], r[i:i + 1]) for i in range(3)]
+        assert np.abs(out - np.concatenate([o for o, _ in singles])).max() < 1e-12
+        assert sorted(grads) == ["s.att.m_k", "s.att.m_v", "s.lift.w", "s.reduce.w"]
+        for name, g in grads.items():
+            assert np.abs(g - sum(gs[name] for _, gs in singles)).max() < 1e-12

@@ -70,6 +70,7 @@ class TestPretrainGanCmd:
         ckpt = tmp_path / "gan.ckpt"
         rc = main(["pretrain-gan", "--data-dir", str(tiny_data),
                    "--gan-checkpoint", str(ckpt), "--gan-iterations", "3",
+                   "--gan-batch-size", "2", "--lambda-cyc", "5",
                    "--seed", "3"])
         assert rc == 0
         lines = (tmp_path / "gan.losses.jsonl").read_text().splitlines()
@@ -181,9 +182,25 @@ class TestConfigFile:
         assert rc == 0
         assert len((out / "metrics.jsonl").read_text().splitlines()) == 1
 
-    def test_bad_config_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        json.dumps({"epochs": 1, "lr_init": 1e-6}),
+        json.dumps({"epoch": 3}),
+        json.dumps({"batch_size": "8"}),
+        json.dumps({"epochs": True}),
+        json.dumps({"ablation": {"use_gann": True}}),
+        json.dumps({"ablation": [1]}),
+        json.dumps([1, 2]),
+        '{"epochs": 3,',
+    ], ids=["lr_min_above_lr_init", "unknown_key", "string_for_int",
+            "bool_for_int", "unknown_ablation_key", "ablation_not_object",
+            "not_an_object", "malformed_json"])
+    def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"epochs": 1, "lr_init": 1e-6}))
-        rc = main(["train", "--config", str(cfg_path)])
+        cfg_path.write_text(text)
+        # gen-data on a tiny set: an accepted config would exit 0 here
+        rc = main(["gen-data", "--config", str(cfg_path), "--use-gan",
+                   "--data-dir", str(tmp_path / "data"), "--image-size", "32",
+                   "--n-train", "1", "--n-val", "0", "--n-test", "0"])
         assert rc == 1
-        assert "error:config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and err.count("\n") == 1

@@ -237,6 +237,12 @@ class TestGradCheck:
 OPS = {
     "matmul": lambda t: T.reduce_sum(T.mul(T.matmul(t, T.transpose2d(t)),
                                            T.matmul(t, T.transpose2d(t)))),
+    # batched left operand [2,3,2] against a shared [2,6] right operand
+    "matmul_batched": lambda t: T.reduce_sum(T.mul(
+        T.matmul(T.reshape(t, (2, 3, 2)), T.reshape(t, (2, 6))),
+        T.matmul(T.reshape(t, (2, 3, 2)), T.reshape(t, (2, 6))))),
+    "transpose_batched": lambda t: T.reduce_sum(T.mul(
+        T.transpose2d(T.reshape(t, (2, 2, 3))), T.reshape(t, (2, 3, 2)))),
     "softmax": lambda t: T.reduce_sum(T.mul(T.softmax_axis(t, 1),
                                             T.softmax_axis(t, 0))),
     "relu": lambda t: T.reduce_sum(T.mul(T.relu(t), T.relu(t))),
