@@ -7,6 +7,7 @@ float64. Everything little-endian, so files diff byte-for-byte.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -38,29 +39,37 @@ def save_checkpoint(path, named_arrays) -> None:
 def load_checkpoint(path):
     """Returns an ordered dict-like list preserved as dict (py3.7+ ordered)."""
     try:
-        raw = Path(path).read_bytes()
+        # a view, so reading each field below copies no bytes
+        raw = memoryview(Path(path).read_bytes())
     except OSError as e:
         raise IOError_(f"cannot read checkpoint {path}: {e}") from e
     if raw[:4] != MAGIC:
         raise IOError_(f"{path}: bad checkpoint magic")
-    version, count = struct.unpack_from("<HI", raw, 4)
+    pos = 4
+
+    def take(n):
+        nonlocal pos
+        if n > len(raw) - pos:
+            raise IOError_(f"{path}: truncated checkpoint at byte {pos}")
+        pos += n
+        return raw[pos - n:pos]
+
+    version, count = struct.unpack("<HI", take(6))
     if version != VERSION:
         raise IOError_(f"{path}: unsupported checkpoint version {version}")
-    pos = 10
     out = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (rank,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{rank}I", raw, pos)
-        pos += 4 * rank
-        n = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=pos).reshape(shape)
-        pos += 8 * n
-        out[name] = arr.astype(np.float64)
+        (name_len,) = struct.unpack("<H", take(2))
+        try:
+            name = str(take(name_len), "utf-8")
+        except UnicodeDecodeError as e:
+            raise IOError_(f"{path}: tensor name is not UTF-8: {e}") from e
+        (rank,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        values = take(8 * math.prod(shape))
+        out[name] = np.frombuffer(values, dtype="<f8").reshape(shape).astype(np.float64)
+    if pos != len(raw):
+        raise IOError_(f"{path}: {len(raw) - pos} trailing bytes after the last tensor")
     return out
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_into_params, save_checkpoint
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, DomainError
 from .layers import BatchNorm2d, Conv2d, ConvBNRelu, collect_params, zero_grads
 from .tensor import AdamWState, Tensor, adamw_step
 
@@ -187,6 +187,8 @@ def pretrain_gan(x_set: np.ndarray, y_set: np.ndarray, iterations: int,
         xi = rng.integers(0, len(x_set), size=batch_size)
         yi = rng.integers(0, len(y_set), size=batch_size)
         record = gan_train_step(pair, Tensor(x_set[xi]), Tensor(y_set[yi]), lr)
+        if not np.all(np.isfinite(list(record.values()))):
+            raise DomainError(f"non-finite GAN loss at iteration {it}")
         if log_fn is not None:
             log_fn(it, record)
     if checkpoint_path is not None:

@@ -53,8 +53,12 @@ def read_pgm(path) -> np.ndarray:
         fields.append(raw[start:pos])
     if fields[0] != b"P5" or fields[3] != b"255":
         raise IOError_(f"{path}: not an 8-bit P5 PGM")
+    if not (fields[1].isdigit() and fields[2].isdigit()):
+        raise IOError_(f"{path}: PGM extents are not decimal integers")
     w, h = int(fields[1]), int(fields[2])
     pos += 1  # single whitespace byte after maxval
+    if len(raw) - pos < w * h:
+        raise IOError_(f"{path}: truncated PGM pixel block")
     data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
     return data.reshape(h, w).copy()
 

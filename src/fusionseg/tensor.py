@@ -140,8 +140,8 @@ def conv_output_extent(n, k, stride, dilation, padding):
 def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects 4-d input and weight")
-    b, cin, h, wd = x.data.shape
-    cout, cin_w, kh, kw = w.data.shape
+    _, cin, h, wd = x.data.shape
+    _, cin_w, kh, kw = w.data.shape
     if kh != kw or kh % 2 == 0:
         raise DimensionError(f"conv2d kernel must be square and odd, got {kh}x{kw}")
     if cin_w != cin:
@@ -156,51 +156,34 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
             f"conv2d output extent nonpositive for input {h}x{wd}, "
             f"k={k}, stride={stride}, dilation={dilation}, padding={padding}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out = np.zeros((b, cout, hout, wout))
-    # small kernels: accumulate one shifted slice per tap
-    for a_ in range(k):
-        for b_ in range(k):
-            xs = xp[:, :,
-                    a_ * dilation: a_ * dilation + stride * (hout - 1) + 1: stride,
-                    b_ * dilation: b_ * dilation + stride * (wout - 1) + 1: stride]
-            out += np.einsum("bchw,oc->bohw", xs, w.data[:, :, a_, b_])
+    xp = x.data
+    if padding:
+        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    # small kernels: one shifted window of the padded input per tap (i, j)
+    taps = [(i, j, (slice(None), slice(None),
+                    slice(i * dilation, i * dilation + stride * (hout - 1) + 1, stride),
+                    slice(j * dilation, j * dilation + stride * (wout - 1) + 1, stride)))
+            for i in range(k) for j in range(k)]
+    out = np.einsum("bchw,oc->bohw", xp[taps[0][2]], w.data[:, :, 0, 0])
+    for i, j, sl in taps[1:]:
+        out += np.einsum("bchw,oc->bohw", xp[sl], w.data[:, :, i, j])
 
     def backward(g):
         dxp = np.zeros_like(xp)
         dw = np.zeros_like(w.data)
-        for a_ in range(k):
-            for b_ in range(k):
-                sl = (slice(None), slice(None),
-                      slice(a_ * dilation, a_ * dilation + stride * (hout - 1) + 1, stride),
-                      slice(b_ * dilation, b_ * dilation + stride * (wout - 1) + 1, stride))
-                xs = xp[sl]
-                dw[:, :, a_, b_] = np.einsum("bohw,bchw->oc", g, xs)
-                dxp[sl] += np.einsum("bohw,oc->bchw", g, w.data[:, :, a_, b_])
-        if padding:
-            dx = dxp[:, :, padding:-padding, padding:-padding]
-        else:
-            dx = dxp
-        return (dx, dw)
+        for i, j, sl in taps:
+            dw[:, :, i, j] = np.einsum("bohw,bchw->oc", g, xp[sl])
+            dxp[sl] += np.einsum("bohw,oc->bchw", g, w.data[:, :, i, j])
+        return (dxp[:, :, padding:padding + h, padding:padding + wd], dw)
 
     return _node(out, (x, w), backward)
 
 
 def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:
+    """A 1x1 ``conv2d``; the name stays for callers that want the 1x1 check."""
     if w.data.ndim != 4 or w.data.shape[2:] != (1, 1):
         raise DimensionError(f"pointwise_conv needs a 1x1 kernel, got {w.data.shape}")
-    if x.data.ndim != 4 or x.data.shape[1] != w.data.shape[1]:
-        raise DimensionError(
-            f"pointwise_conv channel mismatch: {x.data.shape} vs {w.data.shape}")
-    wm = w.data[:, :, 0, 0]
-    out = np.einsum("bchw,oc->bohw", x.data, wm)
-
-    def backward(g):
-        dx = np.einsum("bohw,oc->bchw", g, wm)
-        dw = np.einsum("bohw,bchw->oc", g, x.data)[:, :, None, None]
-        return (dx, dw)
-
-    return _node(out, (x, w), backward)
+    return conv2d(x, w)
 
 
 # ---------------------------------------------------------------------------

@@ -63,17 +63,23 @@ def batch_losses(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray):
     return logits, dice, bce, composite_loss(dice, bce)
 
 
+def predicted_masks(net: FusionSegNet, sar: np.ndarray, batch_size: int):
+    """Yield (first index, boolean foreground masks [B,H,W]) per batch, in order."""
+    for start in range(0, len(sar), batch_size):
+        logits = net(Tensor(sar[start:start + batch_size]))
+        # not logits >= 0: a tiny negative logit rounds to probability 0.5
+        yield start, 1.0 / (1.0 + np.exp(-logits.data[:, 0])) >= 0.5
+
+
 def evaluate(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray,
              batch_size: int = 8):
     """Accumulate one confusion matrix over a split; fixed index order."""
     if len(sar) == 0:
         raise DomainError("cannot evaluate an empty split")
     cm = ConfusionMatrix(2)
-    for start in range(0, len(sar), batch_size):
-        logits = net(Tensor(sar[start:start + batch_size]))
-        pred = (1.0 / (1.0 + np.exp(-logits.data[:, 0])) >= 0.5).astype(np.int64)
+    for start, fg in predicted_masks(net, sar, batch_size):
         true = masks[start:start + batch_size].astype(np.int64)
-        cm = cm + confusion_matrix(pred, true, 2)
+        cm = cm + confusion_matrix(fg.astype(np.int64), true, 2)
     return {"fwiou": fwiou(cm), "fwiou_percent": 100.0 * fwiou(cm),
             "iou_per_class": [float(v) for v in iou_per_class(cm)],
             "confusion": cm.counts.tolist()}
@@ -197,10 +203,8 @@ def export_maps(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for start in range(0, len(sar), batch_size):
-        logits = net(Tensor(sar[start:start + batch_size]))
-        probs = 1.0 / (1.0 + np.exp(-logits.data[:, 0]))
-        pred = np.where(probs >= 0.5, 255, 0).astype(np.uint8)
+    for start, fg in predicted_masks(net, sar, batch_size):
+        pred = np.where(fg, 255, 0).astype(np.uint8)
         for j in range(pred.shape[0]):
             i = start + j
             pred_path = out / f"pred_{i:05d}.pgm"

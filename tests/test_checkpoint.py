@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fusionseg.checkpoint import (load_checkpoint, load_into_params,
                                   save_checkpoint)
@@ -57,3 +59,39 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(IOError_):
         load_checkpoint(path)
+
+
+def small_checkpoint(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, [("a.w", np.arange(6.0).reshape(2, 3)),
+                           ("s", np.array(2.5))])
+    return path
+
+
+def test_every_truncation_rejected(tmp_path):
+    raw = small_checkpoint(tmp_path).read_bytes()
+    path = tmp_path / "cut.ckpt"
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(IOError_):
+            load_checkpoint(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = small_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(IOError_, match="trailing"):
+        load_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.binary(max_size=64),
+                 st.binary(max_size=64).map(lambda b: b"DFSG\x01\x00" + b)))
+def test_arbitrary_bytes_load_or_io_error(tmp_path, raw):
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(raw)
+    try:
+        assert isinstance(load_checkpoint(path), dict)
+    except IOError_:
+        pass

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fusionseg import tensor as T
-from fusionseg.errors import ConfigurationError, DimensionError
+from fusionseg.errors import ConfigurationError, DimensionError, DomainError
 from fusionseg.gan import (GanPair, GeneratorNet,
                            adversarial_losses, cycle_loss, gan_train_step,
                            pretrain_gan)
@@ -156,6 +156,17 @@ class TestPretrain:
     def test_rejects_empty_set(self):
         with pytest.raises(ConfigurationError):
             pretrain_gan(np.zeros((0, 1, 8, 8)), np.zeros((1, 1, 8, 8)), 1, 0)
+
+    def test_non_finite_loss_is_domain_error(self, tmp_path):
+        rng = np.random.default_rng(25)
+        xs, ys = rng.random((1, 1, 16, 16)), rng.random((2, 1, 16, 16))
+        xs[0, 0, 3, 5] = np.nan
+        path = tmp_path / "gan.ckpt"
+        recs = []
+        with pytest.raises(DomainError, match="iteration 0"):
+            pretrain_gan(xs, ys, 3, seed=26, checkpoint_path=path,
+                         log_fn=lambda it, r: recs.append(r))
+        assert recs == [] and not path.exists()
 
     def test_asymmetric_set_sizes(self):
         rng = np.random.default_rng(23)

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fusionseg.errors import ConfigurationError
+from fusionseg.errors import ConfigurationError, IOError_
 from fusionseg.synthdata import (SceneSpec, gen_label_mask,
                                  load_split, make_dataset, quantize_u8,
                                  read_pgm, render_optical, render_sar,
@@ -96,6 +98,39 @@ class TestPgm:
     def test_quantize(self):
         q = quantize_u8(np.array([0.0, 0.5, 1.0]))
         assert list(q) == [0, 128, 255]
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        write_pgm(path, np.arange(12, dtype=np.uint8).reshape(3, 4))
+        raw = path.read_bytes()
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            with pytest.raises(IOError_):
+                read_pgm(path)
+
+    @pytest.mark.parametrize("raw", [b"P5\nab 4\n255\n", b"P5\n-1 4\n255\n"])
+    def test_non_numeric_extent_rejected(self, tmp_path, raw):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(IOError_):
+            read_pgm(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(
+        st.binary(max_size=32),
+        st.tuples(st.sampled_from([b"P5", b"P6"]),
+                  st.from_regex(rb"[0-9a-]{0,2}", fullmatch=True),
+                  st.from_regex(rb"[0-9a-]{0,2}", fullmatch=True),
+                  st.sampled_from([b"255", b"25"]), st.binary(max_size=32),
+                  ).map(lambda t: b"%s\n%s %s\n%s\n%s" % t)))
+    def test_arbitrary_bytes_image_or_io_error(self, tmp_path, raw):
+        path = tmp_path / "fuzz.pgm"
+        path.write_bytes(raw)
+        try:
+            assert read_pgm(path).dtype == np.uint8
+        except IOError_:
+            pass
 
 
 class TestMakeDataset:

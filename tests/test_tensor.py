@@ -3,6 +3,7 @@ import pytest
 
 from fusionseg import tensor as T
 from fusionseg.errors import ContractError, DimensionError, DomainError
+from fusionseg.layers import Conv2d
 from fusionseg.tensor import AdamWState, Tensor, adamw_step, grad_check
 
 
@@ -64,6 +65,24 @@ class TestConv2d:
         with pytest.raises(DimensionError):
             T.conv2d(Tensor(np.zeros((1, 1, 3, 3))),
                      Tensor(np.zeros((1, 1, 3, 3))), dilation=2)
+
+    @pytest.mark.parametrize("k", [3, 1])
+    def test_grad_check_strided_unpadded(self, k):
+        # at stride 2 and padding 0 no tap reads the last row or column of 8x8
+        rng = np.random.default_rng(4)
+        conv = Conv2d(2, 3, k, stride=2, rng=rng)
+        x = rand(rng, 2, 2, 8, 8)
+        expected = T.conv_output_extent(8, k, 2, 1, 0)
+        assert conv(x).data.shape == (2, 3, expected, expected)
+
+        def loss(_):
+            out = conv(x)
+            return T.reduce_sum(T.mul(out, out))
+
+        assert grad_check(loss, x) < 1e-8
+        assert grad_check(loss, conv.w) < 1e-8
+        loss(None).backward()
+        assert np.all(x.grad[:, :, -1, :] == 0) and np.all(x.grad[:, :, :, -1] == 0)
 
 
 class TestPointwise:

@@ -1,0 +1,53 @@
+"""The benchmark's span tracer still fits the library.
+
+``perfbench/tracing.py`` wraps fusionseg functions by name, so renaming or
+deleting one of them breaks the benchmark; this test makes that a tier-1
+failure instead.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from fusionseg import tensor as T
+from fusionseg.attention import AttentionStage
+from fusionseg.tensor import Tensor
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fusionseg_attributes(tracing):
+    """Every attribute of every loaded fusionseg module and traced class."""
+    owners = [m for n, m in sys.modules.items() if n.startswith("fusionseg")]
+    owners += [owner for owner, *_ in tracing._targets() if isinstance(owner, type)]
+    return {(id(o), k): v for o in owners for k, v in vars(o).items()}
+
+
+def test_tracer_records_one_by_one_convs_as_conv2d():
+    tracing = load_tracing()
+    before = fusionseg_attributes(tracing)
+    stage = AttentionStage(2, 4, 3, s=5, rng=np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).normal(size=(2, 2, 4, 4)))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert T.conv2d is not before[(id(T), "conv2d")]
+        stage(x)
+    finally:
+        tracer.uninstall()
+    # the lift and the reduce are both 1x1 convolutions
+    assert tracer.op_calls["conv2d"] == 2
+    assert tracer.op_calls["pointwise_conv"] == 0
+    assert [span[0] for span in tracer.spans].count("tensor.conv2d") == 2
+    after = fusionseg_attributes(tracing)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
