@@ -12,11 +12,11 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError
-from .layers import Conv2d
+from .layers import Conv2d, Module
 from .tensor import Tensor
 
 
-class ExternalAttention:
+class ExternalAttention(Module):
     """Learnable key-memory and value-memory, both [S, d]."""
 
     def __init__(self, s=16, d=8, rng=None):
@@ -27,9 +27,6 @@ class ExternalAttention:
         bound = 1.0 / np.sqrt(d)
         self.m_k = Tensor(rng.uniform(-bound, bound, size=(s, d)), requires_grad=True)
         self.m_v = Tensor(rng.uniform(-bound, bound, size=(s, d)), requires_grad=True)
-
-    def named_params(self, prefix):
-        return [(prefix + ".m_k", self.m_k), (prefix + ".m_v", self.m_v)]
 
 
 def double_normalize(a: Tensor) -> Tensor:
@@ -50,7 +47,7 @@ def external_attention_forward(att: ExternalAttention, f: Tensor) -> Tensor:
     return T.matmul(weights, att.m_v)
 
 
-class AttentionStage:
+class AttentionStage(Module):
     """Pointwise lift, external attention with residual, pointwise reduce."""
 
     def __init__(self, c_in, d, c_out, s=16, rng=None):
@@ -65,8 +62,3 @@ class AttentionStage:
         f = T.transpose2d(T.reshape(self.lift(x), (b, d, h * w)))
         refined = T.add(external_attention_forward(self.att, f), f)
         return self.reduce(T.reshape(T.transpose2d(refined), (b, d, h, w)))
-
-    def named_params(self, prefix):
-        return (self.lift.named_params(prefix + ".lift")
-                + self.att.named_params(prefix + ".att")
-                + self.reduce.named_params(prefix + ".reduce"))

@@ -81,4 +81,6 @@ def load_into_params(path, named_params) -> None:
             raise IOError_(f"{path}: missing tensor '{name}'")
         if stored[name].shape != param.data.shape:
             raise IOError_(f"{path}: shape mismatch for '{name}'")
+        if not np.all(np.isfinite(stored[name])):
+            raise IOError_(f"{path}: non-finite values in '{name}'")
         param.data = stored[name].copy()

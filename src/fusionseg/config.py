@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -37,6 +38,14 @@ class TrainConfig:
     n_test: int = 40
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is float and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
+        if self.width_mult <= 0 or self.depth_mult <= 0:
+            raise ConfigurationError("width_mult and depth_mult must be > 0")
         if self.lr_min > self.lr_init:
             raise ConfigurationError("lr_min must not exceed lr_init")
         if self.epochs < 1 or self.batch_size < 1:
@@ -76,7 +85,11 @@ def _checked(cls, d, where) -> dict:
         if key not in types:
             raise ConfigurationError(f"unknown {where} key: {key!r}")
         if types[key] is float and type(value) is int:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigurationError(
+                    f"{where} key {key!r} is out of float range") from None
         if type(value) is not types[key]:
             raise ConfigurationError(
                 f"{where} key {key!r} must be {types[key].__name__}, "

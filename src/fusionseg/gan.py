@@ -11,13 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_into_params, save_checkpoint
 from .errors import ConfigurationError, DimensionError, DomainError
-from .layers import BatchNorm2d, Conv2d, ConvBNRelu, collect_params, zero_grads
+from .layers import BatchNorm2d, Conv2d, ConvBNRelu, Module, zero_grads
 from .tensor import AdamWState, Tensor, adamw_step
 
 
-class ResidualBlock:
+class ResidualBlock(Module):
     def __init__(self, c, rng):
         self.conv1 = Conv2d(c, c, 3, padding=1, rng=rng)
         self.bn1 = BatchNorm2d(c)
@@ -28,14 +27,8 @@ class ResidualBlock:
         h = T.relu(self.bn1(self.conv1(x)))
         return T.add(self.bn2(self.conv2(h)), x)
 
-    def named_params(self, prefix):
-        return (self.conv1.named_params(prefix + ".conv1")
-                + self.bn1.named_params(prefix + ".bn1")
-                + self.conv2.named_params(prefix + ".conv2")
-                + self.bn2.named_params(prefix + ".bn2"))
 
-
-class GeneratorNet:
+class GeneratorNet(Module):
     """Encoder-residual-decoder mapping [B,1,H,W] -> [B,1,H,W] in [0,1].
 
     The final conv is zero-initialized, so an untrained generator outputs a
@@ -60,14 +53,8 @@ class GeneratorNet:
         h = self.up2(T.upsample_nearest(h, 2))
         return T.sigmoid(self.final(h))
 
-    def named_params(self, prefix=""):
-        layers = [("down1", self.down1), ("down2", self.down2),
-                  ("res1", self.res1), ("res2", self.res2),
-                  ("up1", self.up1), ("up2", self.up2), ("final", self.final)]
-        return collect_params([(f"{prefix}{n}", l) for n, l in layers])
 
-
-class DiscriminatorNet:
+class DiscriminatorNet(Module):
     """Strided-conv patch classifier; scores squashed to (0,1)."""
 
     def __init__(self, rng, base=8):
@@ -77,10 +64,6 @@ class DiscriminatorNet:
 
     def __call__(self, x):
         return T.sigmoid(self.head(self.c2(self.c1(x))))
-
-    def named_params(self, prefix=""):
-        layers = [("c1", self.c1), ("c2", self.c2), ("head", self.head)]
-        return collect_params([(f"{prefix}{n}", l) for n, l in layers])
 
 
 def adversarial_losses(d_real: Tensor, d_fake: Tensor):
@@ -105,7 +88,7 @@ def cycle_loss(x: Tensor, x_rec: Tensor, lambda_cyc: float) -> Tensor:
                    lambda_cyc)
 
 
-class GanPair:
+class GanPair(Module):
     def __init__(self, seed: int, lambda_cyc: float = 10.0,
                  weight_decay: float = 0.0):
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -114,23 +97,14 @@ class GanPair:
         self.d_x = DiscriminatorNet(rng)
         self.d_y = DiscriminatorNet(rng)
         self.lambda_cyc = lambda_cyc
-        self.gen_params = (self.g_xy.named_params("g_xy.")
-                           + self.g_yx.named_params("g_yx."))
-        self.disc_params = (self.d_x.named_params("d_x.")
-                            + self.d_y.named_params("d_y."))
+        self.gen_params = (self.g_xy.named_params("g_xy")
+                           + self.g_yx.named_params("g_yx"))
+        self.disc_params = (self.d_x.named_params("d_x")
+                            + self.d_y.named_params("d_y"))
         self.gen_states = {n: AdamWState.for_param(p, weight_decay)
                            for n, p in self.gen_params}
         self.disc_states = {n: AdamWState.for_param(p, weight_decay)
                             for n, p in self.disc_params}
-
-    def named_params(self):
-        return self.gen_params + self.disc_params
-
-    def save(self, path):
-        save_checkpoint(path, [(n, p.data) for n, p in self.named_params()])
-
-    def load(self, path):
-        load_into_params(path, self.named_params())
 
 
 def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,

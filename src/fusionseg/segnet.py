@@ -13,10 +13,9 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionStage
-from .checkpoint import load_into_params, save_checkpoint
 from .errors import ConfigurationError, DimensionError
 from .gan import GeneratorNet
-from .layers import Conv2d, ConvBNRelu, collect_params
+from .layers import Conv2d, ConvBNRelu, Module
 from .tensor import Tensor
 
 
@@ -49,23 +48,19 @@ def stitch_channels_input(sar: Tensor, cfg: AblationConfig,
     return fake_optical
 
 
-class EncoderStage:
+class EncoderStage(Module):
     def __init__(self, cin, cout, repeats, rng):
-        self.blocks = [ConvBNRelu(cin, cout, 3, stride=2, padding=1, rng=rng)]
+        self.b = [ConvBNRelu(cin, cout, 3, stride=2, padding=1, rng=rng)]
         for _ in range(repeats - 1):
-            self.blocks.append(ConvBNRelu(cout, cout, 3, padding=1, rng=rng))
+            self.b.append(ConvBNRelu(cout, cout, 3, padding=1, rng=rng))
 
     def __call__(self, x):
-        for b in self.blocks:
-            x = b(x)
+        for block in self.b:
+            x = block(x)
         return x
 
-    def named_params(self, prefix):
-        return collect_params([(f"{prefix}.b{i}", b)
-                               for i, b in enumerate(self.blocks)])
 
-
-class Encoder:
+class Encoder(Module):
     """Compound-scaled plain conv stack tapping features at strides 4 and 16."""
 
     base_channels = (8, 12, 16, 24)
@@ -77,9 +72,9 @@ class Encoder:
         self.channels = chans
         self.stem = ConvBNRelu(c_in, chans[0], 3, padding=1, rng=rng)
         prev = chans[0]
-        self.stages = []
+        self.stage = []
         for c in chans:
-            self.stages.append(EncoderStage(prev, c, repeats, rng))
+            self.stage.append(EncoderStage(prev, c, repeats, rng))
             prev = c
         self.low_channels = chans[1]   # stride 4
         self.high_channels = chans[3]  # stride 16
@@ -89,19 +84,13 @@ class Encoder:
             raise DimensionError("encoder input dims must be divisible by 16")
         h = self.stem(x)
         feats = []
-        for stage in self.stages:
+        for stage in self.stage:
             h = stage(h)
             feats.append(h)
         return feats[1], feats[3]  # strides 4 and 16
 
-    def named_params(self, prefix):
-        out = self.stem.named_params(prefix + ".stem")
-        for i, s in enumerate(self.stages):
-            out.extend(s.named_params(f"{prefix}.stage{i}"))
-        return out
 
-
-class Aspp:
+class Aspp(Module):
     """Parallel 1x1, atrous 3x3 per rate, and a global-pool branch, fused 1x1."""
 
     def __init__(self, c_in, c_out, rates, rng):
@@ -111,7 +100,7 @@ class Aspp:
         self.one = ConvBNRelu(c_in, c_out, 1, rng=rng)
         self.atrous = [ConvBNRelu(c_in, c_out, 3, dilation=r, padding=r, rng=rng)
                        for r in self.rates]
-        self.pool_conv = Conv2d(c_in, c_out, 1, rng=rng)
+        self.pool = Conv2d(c_in, c_out, 1, rng=rng)
         n_branches = 2 + len(self.rates)
         self.fuse = ConvBNRelu(n_branches * c_out, c_out, 1, rng=rng)
 
@@ -119,23 +108,15 @@ class Aspp:
         h, w = x.data.shape[2], x.data.shape[3]
         branches = [self.one(x)]
         branches.extend(a(x) for a in self.atrous)
-        pooled = T.relu(self.pool_conv(T.spatial_mean(x)))
+        pooled = T.relu(self.pool(T.spatial_mean(x)))
         branches.append(T.tile_spatial(pooled, h, w))
         merged = branches[0]
         for b in branches[1:]:
             merged = T.concat_channels(merged, b)
         return self.fuse(merged)
 
-    def named_params(self, prefix):
-        out = self.one.named_params(prefix + ".one")
-        for i, a in enumerate(self.atrous):
-            out.extend(a.named_params(f"{prefix}.atrous{i}"))
-        out.extend(self.pool_conv.named_params(prefix + ".pool"))
-        out.extend(self.fuse.named_params(prefix + ".fuse"))
-        return out
 
-
-class Decoder:
+class Decoder(Module):
     """Upsample high-level features, merge reduced low-level ones, emit logits."""
 
     def __init__(self, c_high, c_low, c_mid, rng):
@@ -150,20 +131,14 @@ class Decoder:
         h = self.refine2(self.refine1(merged))
         return T.upsample_nearest(self.head(h), 4)
 
-    def named_params(self, prefix):
-        return (self.low_reduce.named_params(prefix + ".low_reduce")
-                + self.refine1.named_params(prefix + ".refine1")
-                + self.refine2.named_params(prefix + ".refine2")
-                + self.head.named_params(prefix + ".head"))
 
-
-class FusionSegNet:
+class FusionSegNet(Module):
     def __init__(self, cfg: AblationConfig, seed: int, width_mult=1.0,
                  depth_mult=1.0, attention_units=16, attention_dim=8,
                  aspp_rates=(1, 2, 4), generator: GeneratorNet | None = None):
         cfg.validate()
         self.cfg = cfg
-        self.generator = generator
+        self._generator = generator  # frozen: "_" keeps it out of named_params
         rng = np.random.Generator(np.random.PCG64(seed))
         c_in = cfg.input_channels
         lift_out = max(1, round(8 * width_mult))
@@ -181,7 +156,7 @@ class FusionSegNet:
                                max(8, round(16 * width_mult)), rng=rng)
 
     def __call__(self, sar: Tensor) -> Tensor:
-        x = stitch_channels_input(sar, self.cfg, self.generator)
+        x = stitch_channels_input(sar, self.cfg, self._generator)
         if self.attention is not None:
             x = self.attention(x)
         else:
@@ -189,20 +164,3 @@ class FusionSegNet:
         f_low, f_high = self.encoder(x)
         f_high = self.aspp(f_high)
         return self.decoder(f_high, f_low)
-
-    def named_params(self):
-        out = []
-        if self.attention is not None:
-            out.extend(self.attention.named_params("attention"))
-        else:
-            out.extend(self.lift.named_params("lift"))
-        out.extend(self.encoder.named_params("encoder"))
-        out.extend(self.aspp.named_params("aspp"))
-        out.extend(self.decoder.named_params("decoder"))
-        return out
-
-    def save(self, path):
-        save_checkpoint(path, [(n, p.data) for n, p in self.named_params()])
-
-    def load(self, path):
-        load_into_params(path, self.named_params())

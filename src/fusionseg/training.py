@@ -14,6 +14,7 @@ from . import tensor as T
 from .config import TrainConfig
 from .errors import ConfigurationError, ContractError, DomainError
 from .gan import GeneratorNet
+from .layers import zero_grads
 from .checkpoint import load_into_params
 from .losses import bce_sigmoid_loss, composite_loss, dice_loss
 from .metrics import ConfusionMatrix, confusion_matrix, fwiou, iou_per_class
@@ -36,7 +37,7 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
 def load_generator_from(path, seed=0) -> GeneratorNet:
     """Rebuild only the SAR-to-optical generator from a GAN pair checkpoint."""
     g = GeneratorNet(np.random.Generator(np.random.PCG64(seed)))
-    load_into_params(path, g.named_params("g_xy."))
+    load_into_params(path, g.named_params("g_xy"))
     return g
 
 
@@ -110,8 +111,7 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
             n_batches = 0
             for start in range(0, len(order), config.batch_size):
                 idx = order[start:start + config.batch_size]
-                for _, p in params:
-                    p.zero_grad()
+                zero_grads(params)
                 _, dice, bce, comp = batch_losses(
                     net, sar_train[idx], mask_train[idx])
                 if not np.isfinite(comp.item()):

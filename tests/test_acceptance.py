@@ -25,6 +25,9 @@ PIPELINE_SEED = 11
 GAN_TOY_SEED = 42
 ABLATION_EPOCHS = 6
 
+# deselect with `pytest -m "not acceptance"` for the fast suite
+pytestmark = pytest.mark.acceptance
+
 
 def report(criterion, name, passed, detail=""):
     status = "PASS" if passed else "FAIL"

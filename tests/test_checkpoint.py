@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fusionseg.checkpoint import (load_checkpoint, load_into_params,
                                   save_checkpoint)
 from fusionseg.errors import IOError_
+from fusionseg.segnet import AblationConfig, FusionSegNet
 from fusionseg.tensor import Tensor
 
 
@@ -52,6 +53,17 @@ def test_missing_tensor_rejected(tmp_path):
     save_checkpoint(path, [("p", np.zeros(2))])
     with pytest.raises(IOError_):
         load_into_params(path, [("q", Tensor(np.zeros(2)))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_rejected_on_load(tmp_path, bad):
+    net = FusionSegNet(AblationConfig(), seed=0)
+    named = [(n, p.data.copy()) for n, p in net.named_params()]
+    named[-1][1].flat[0] = bad
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, named)
+    with pytest.raises(IOError_, match="non-finite values in 'decoder.head.w'"):
+        net.load(path)
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from fusionseg.checkpoint import save_checkpoint
 from fusionseg.cli import main
 from fusionseg.config import TrainConfig
 from fusionseg.errors import ContractError
-from fusionseg.training import lr_schedule
+from fusionseg.training import build_net, lr_schedule
 
 
 @pytest.fixture()
@@ -129,6 +130,19 @@ class TestEvalCmd:
         assert report["fwiou_percent"] == pytest.approx(100 * report["fwiou"])
         assert len(report["iou_per_class"]) == 2
 
+    def test_non_finite_checkpoint_is_io_error(self, tmp_path, capsys):
+        named = [(n, p.data.copy()) for n, p in
+                 build_net(TrainConfig()).named_params()]
+        named[0][1].flat[0] = np.nan
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(path, named)
+        rc = main(["eval", "--data-dir", str(tmp_path / "data"),
+                   "--checkpoint", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and err.count("\n") == 1
+        assert "non-finite" in err and named[0][0] in err
+
 
 class TestExportMaps:
     def test_maps_two_valued_and_deterministic(self, tiny_data, tmp_path):
@@ -191,9 +205,20 @@ class TestConfigFile:
         json.dumps({"ablation": [1]}),
         json.dumps([1, 2]),
         '{"epochs": 3,',
+        json.dumps({"seed": -1}),
+        json.dumps({"depth_mult": float("inf")}),
+        json.dumps({"width_mult": float("nan")}),
+        json.dumps({"lr_init": float("nan"), "epochs": 1}),
+        json.dumps({"lambda_cyc": float("-inf")}),
+        json.dumps({"width_mult": 0}),
+        json.dumps({"depth_mult": -1.0}),
+        json.dumps({"gan_lr": 10 ** 400}),
     ], ids=["lr_min_above_lr_init", "unknown_key", "string_for_int",
             "bool_for_int", "unknown_ablation_key", "ablation_not_object",
-            "not_an_object", "malformed_json"])
+            "not_an_object", "malformed_json", "negative_seed",
+            "infinite_depth_mult", "nan_width_mult", "nan_lr_init",
+            "negative_infinite_lambda_cyc", "zero_width_mult",
+            "negative_depth_mult", "int_beyond_float_range"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)

@@ -70,7 +70,7 @@ class TestEncoder:
 
     def test_depth_mult_ceil_repeats(self):
         deep = Encoder(4, depth_mult=2.0, rng=np.random.default_rng(9))
-        assert all(len(s.blocks) == 2 for s in deep.stages)
+        assert all(len(s.b) == 2 for s in deep.stage)
 
     def test_indivisible_dims_rejected(self):
         enc = Encoder(4, rng=np.random.default_rng(10))
