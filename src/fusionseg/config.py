@@ -10,8 +10,9 @@ from pathlib import Path
 from .errors import ConfigurationError
 from .segnet import AblationConfig
 
-DICE_WEIGHT = 1.0
-BCE_WEIGHT = 3.0
+# Largest width_mult and depth_mult: at 16 and 16 the net has 45M parameters
+# (34k at 1 and 1), and far larger values hang or fail while building it.
+MAX_MULT = 16.0
 
 
 @dataclass
@@ -44,8 +45,9 @@ class TrainConfig:
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if self.width_mult <= 0 or self.depth_mult <= 0:
-            raise ConfigurationError("width_mult and depth_mult must be > 0")
+        if not (0 < self.width_mult <= MAX_MULT and 0 < self.depth_mult <= MAX_MULT):
+            raise ConfigurationError(
+                f"width_mult and depth_mult must be in (0, {MAX_MULT:g}]")
         if self.lr_min > self.lr_init:
             raise ConfigurationError("lr_min must not exceed lr_init")
         if self.epochs < 1 or self.batch_size < 1:

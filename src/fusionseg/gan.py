@@ -12,8 +12,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigurationError, DimensionError, DomainError
-from .layers import BatchNorm2d, Conv2d, ConvBNRelu, Module, zero_grads
-from .tensor import AdamWState, Tensor, adamw_step
+from .layers import BatchNorm2d, Conv2d, ConvBNRelu, Module
+from .tensor import AdamW, Tensor
 
 
 class ResidualBlock(Module):
@@ -89,22 +89,17 @@ def cycle_loss(x: Tensor, x_rec: Tensor, lambda_cyc: float) -> Tensor:
 
 
 class GanPair(Module):
-    def __init__(self, seed: int, lambda_cyc: float = 10.0,
-                 weight_decay: float = 0.0):
+    def __init__(self, seed: int, lambda_cyc: float = 10.0):
         rng = np.random.Generator(np.random.PCG64(seed))
         self.g_xy = GeneratorNet(rng)
         self.g_yx = GeneratorNet(rng)
         self.d_x = DiscriminatorNet(rng)
         self.d_y = DiscriminatorNet(rng)
         self.lambda_cyc = lambda_cyc
-        self.gen_params = (self.g_xy.named_params("g_xy")
-                           + self.g_yx.named_params("g_yx"))
-        self.disc_params = (self.d_x.named_params("d_x")
-                            + self.d_y.named_params("d_y"))
-        self.gen_states = {n: AdamWState.for_param(p, weight_decay)
-                           for n, p in self.gen_params}
-        self.disc_states = {n: AdamWState.for_param(p, weight_decay)
-                            for n, p in self.disc_params}
+        self.gen_opt = AdamW(self.g_xy.named_params("g_xy")
+                             + self.g_yx.named_params("g_yx"))
+        self.disc_opt = AdamW(self.d_x.named_params("d_x")
+                              + self.d_y.named_params("d_y"))
 
 
 def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
@@ -114,8 +109,6 @@ def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
         raise DimensionError("gan_train_step requires nonempty batches")
 
     # generator phase (discriminators frozen: their params are not stepped)
-    zero_grads(pair.gen_params)
-    zero_grads(pair.disc_params)
     fake_y = pair.g_xy(batch_x)
     fake_x = pair.g_yx(batch_y)
     rec_x = pair.g_yx(fake_y)
@@ -126,20 +119,15 @@ def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
     cyc_y = cycle_loss(batch_y, rec_y, pair.lambda_cyc)
     gen_total = T.add(T.add(loss_g_xy, loss_g_yx), T.add(cyc_x, cyc_y))
     gen_total.backward()
-    for name, p in pair.gen_params:
-        adamw_step(p, pair.gen_states[name], lr)
+    pair.gen_opt.step(lr)
+    pair.disc_opt.zero_grad()  # filled through the adversarial terms
 
     # discriminator phase (generators frozen; fakes detached)
-    zero_grads(pair.gen_params)
-    zero_grads(pair.disc_params)
     loss_d_y = _disc_loss(pair.d_y(batch_y), pair.d_y(fake_y.detach()))
     loss_d_x = _disc_loss(pair.d_x(batch_x), pair.d_x(fake_x.detach()))
     disc_total = T.add(loss_d_y, loss_d_x)
     disc_total.backward()
-    for name, p in pair.disc_params:
-        adamw_step(p, pair.disc_states[name], lr)
-    zero_grads(pair.gen_params)
-    zero_grads(pair.disc_params)
+    pair.disc_opt.step(lr)
 
     return {
         "loss_g_xy": loss_g_xy.item(), "loss_g_yx": loss_g_yx.item(),

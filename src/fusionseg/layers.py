@@ -87,8 +87,3 @@ class ConvBNRelu(Module):
 
     def __call__(self, x):
         return T.relu(self.bn(self.conv(x)))
-
-
-def zero_grads(params):
-    for _, p in params:
-        p.zero_grad()

@@ -7,8 +7,6 @@ tensor consumed twice receives the sum of both path gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError
@@ -37,9 +35,6 @@ class Tensor:
     def detach(self):
         """Leaf copy sharing no graph history (data is copied)."""
         return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
 
     def item(self):
         return float(self.data.reshape(()))
@@ -410,33 +405,45 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
 # ---------------------------------------------------------------------------
 # optimizer
 
-@dataclass
-class AdamWState:
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-
-    @classmethod
-    def for_param(cls, param: Tensor, weight_decay: float = 0.0,
-                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        return cls(m=np.zeros_like(param.data), v=np.zeros_like(param.data),
-                   beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
+B1, B2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
-def adamw_step(param: Tensor, state: AdamWState, lr: float) -> None:
-    """One decoupled-weight-decay Adam update, in place."""
+def adamw_step(param: Tensor, m: np.ndarray, v: np.ndarray, t: int,
+               lr: float, weight_decay: float) -> None:
+    """Step t (from 1) of decoupled-weight-decay Adam; param, m, v in place."""
     if param.grad is None:
         raise ContractError("adamw_step requires a populated gradient")
     g = param.grad.reshape(param.data.shape)
-    state.step += 1
-    t = state.step
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    param.data -= lr * (m_hat / (np.sqrt(v_hat) + state.eps)
-                        + state.weight_decay * param.data)
+    m *= B1
+    m += (1.0 - B1) * g
+    v *= B2
+    v += (1.0 - B2) * g * g
+    m_hat = m / (1.0 - B1 ** t)
+    v_hat = v / (1.0 - B2 ** t)
+    param.data -= lr * (m_hat / (np.sqrt(v_hat) + EPS) + weight_decay * param.data)
+
+
+class AdamW:
+    """AdamW over a fixed parameter list; a step consumes the gradients.
+
+    Not a ``layers.Module``: the parameters are named by the net that owns
+    them, never by the optimizer.
+    """
+
+    def __init__(self, named_params, weight_decay: float = 0.0):
+        self.params = [p for _, p in named_params]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.weight_decay = weight_decay
+        self.t = 0
+
+    def step(self, lr: float) -> None:
+        """Update every parameter from its gradient, then set each grad to None."""
+        self.t += 1
+        for p, m, v in zip(self.params, self.m, self.v):
+            adamw_step(p, m, v, self.t, lr, self.weight_decay)
+        self.zero_grad()
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.grad = None

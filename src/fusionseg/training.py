@@ -14,13 +14,12 @@ from . import tensor as T
 from .config import TrainConfig
 from .errors import ConfigurationError, ContractError, DomainError
 from .gan import GeneratorNet
-from .layers import zero_grads
 from .checkpoint import load_into_params
 from .losses import bce_sigmoid_loss, composite_loss, dice_loss
 from .metrics import ConfusionMatrix, confusion_matrix, fwiou, iou_per_class
 from .segnet import AblationConfig, FusionSegNet
 from .synthdata import load_split, quantize_u8, write_pgm
-from .tensor import AdamWState, Tensor, adamw_step
+from .tensor import AdamW, Tensor
 
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:
@@ -95,9 +94,7 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
     if len(sar_train) == 0:
         raise ConfigurationError("training split is empty")
     net = build_net(config)
-    params = net.named_params()
-    states = {n: AdamWState.for_param(p, config.weight_decay)
-              for n, p in params}
+    opt = AdamW(net.named_params(), config.weight_decay)
     rng = np.random.Generator(np.random.PCG64(config.seed + 7))
     records = []
     metrics_file = open(metrics_path, "w") if metrics_path else None
@@ -111,15 +108,13 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
             n_batches = 0
             for start in range(0, len(order), config.batch_size):
                 idx = order[start:start + config.batch_size]
-                zero_grads(params)
                 _, dice, bce, comp = batch_losses(
                     net, sar_train[idx], mask_train[idx])
                 if not np.isfinite(comp.item()):
                     raise DomainError(
                         f"non-finite composite loss at epoch {epoch}")
                 comp.backward()
-                for name, p in params:
-                    adamw_step(p, states[name], lr)
+                opt.step(lr)
                 dice_sum += dice.item()
                 bce_sum += bce.item()
                 comp_sum += comp.item()

@@ -138,7 +138,7 @@ class TestAttentionStage:
 
         def run(xs, rs):
             for _, p in params:
-                p.zero_grad()
+                p.grad = None
             out = stage(Tensor(xs))
             T.reduce_sum(T.mul(out, Tensor(rs))).backward()
             return out.data, {n: p.grad.copy() for n, p in params}

@@ -213,12 +213,15 @@ class TestConfigFile:
         json.dumps({"width_mult": 0}),
         json.dumps({"depth_mult": -1.0}),
         json.dumps({"gan_lr": 10 ** 400}),
+        json.dumps({"width_mult": 1e300}),
+        json.dumps({"depth_mult": 1e300}),
     ], ids=["lr_min_above_lr_init", "unknown_key", "string_for_int",
             "bool_for_int", "unknown_ablation_key", "ablation_not_object",
             "not_an_object", "malformed_json", "negative_seed",
             "infinite_depth_mult", "nan_width_mult", "nan_lr_init",
             "negative_infinite_lambda_cyc", "zero_width_mult",
-            "negative_depth_mult", "int_beyond_float_range"])
+            "negative_depth_mult", "int_beyond_float_range",
+            "huge_width_mult", "huge_depth_mult"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)

@@ -4,7 +4,7 @@ from dataclasses import fields
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionseg.config import TrainConfig, field_types
+from fusionseg.config import MAX_MULT, TrainConfig, field_types
 from fusionseg.errors import ConfigurationError
 from fusionseg.segnet import AblationConfig
 
@@ -41,7 +41,7 @@ def test_from_dict_gives_valid_config_or_config_error(known, junk, add_junk):
     except ConfigurationError:
         return
     assert cfg.seed >= 0
-    assert cfg.width_mult > 0 and cfg.depth_mult > 0
+    assert 0 < cfg.width_mult <= MAX_MULT and 0 < cfg.depth_mult <= MAX_MULT
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         assert type(value) is not float or math.isfinite(value), f.name

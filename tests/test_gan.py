@@ -95,14 +95,14 @@ class TestTrainStep:
     def test_generator_step_freezes_discriminators(self):
         rng = np.random.default_rng(14)
         pair = GanPair(seed=15)
-        d_before = [p.data.copy() for _, p in pair.disc_params]
-        g_before = [p.data.copy() for _, p in pair.gen_params]
+        d_before = [p.data.copy() for p in pair.disc_opt.params]
+        g_before = [p.data.copy() for p in pair.gen_opt.params]
         gan_train_step(pair, toy_batch(rng), toy_batch(rng), 1e-3)
         # both phases ran: everything moved, but only via its own phase
         assert any(not np.array_equal(b, p.data)
-                   for b, (_, p) in zip(g_before, pair.gen_params))
+                   for b, p in zip(g_before, pair.gen_opt.params))
         assert any(not np.array_equal(b, p.data)
-                   for b, (_, p) in zip(d_before, pair.disc_params))
+                   for b, p in zip(d_before, pair.disc_opt.params))
 
     def test_freeze_discipline_bitwise(self):
         # zero adversarial pressure: make both discriminator phases no-ops by
@@ -110,20 +110,15 @@ class TestTrainStep:
         # generator phase alone leaves discriminators untouched
         rng = np.random.default_rng(16)
         pair = GanPair(seed=17)
-        d_before = [p.data.copy() for _, p in pair.disc_params]
+        d_before = [p.data.copy() for p in pair.disc_opt.params]
 
-        from fusionseg.layers import zero_grads
         bx, by = toy_batch(rng), toy_batch(rng)
-        zero_grads(pair.gen_params + pair.disc_params)
         fake_y = pair.g_xy(bx)
         _, loss_g = adversarial_losses(pair.d_y(by), pair.d_y(fake_y))
         loss = T.add(loss_g, cycle_loss(bx, pair.g_yx(fake_y), pair.lambda_cyc))
         loss.backward()
-        from fusionseg.tensor import adamw_step
-        for name, p in pair.gen_params:
-            if p.grad is not None:
-                adamw_step(p, pair.gen_states[name], 1e-3)
-        for before, (_, p) in zip(d_before, pair.disc_params):
+        pair.gen_opt.step(1e-3)
+        for before, p in zip(d_before, pair.disc_opt.params):
             assert np.array_equal(before, p.data)
 
     def test_rejects_empty_batch(self):

@@ -4,7 +4,7 @@ import pytest
 from fusionseg import tensor as T
 from fusionseg.errors import ContractError, DimensionError, DomainError
 from fusionseg.layers import Conv2d
-from fusionseg.tensor import AdamWState, Tensor, adamw_step, grad_check
+from fusionseg.tensor import AdamW, Tensor, grad_check
 
 
 def rand(rng, *shape):
@@ -295,28 +295,60 @@ def test_determinism_same_seed():
         assert np.array_equal(u, v)
 
 
+def one_param(value, grad, weight_decay=0.0):
+    p = Tensor([value], requires_grad=True)
+    p.grad = np.array([grad])
+    return p, AdamW([("p", p)], weight_decay)
+
+
 class TestAdamW:
     def test_first_step_no_decay(self):
-        p = Tensor([1.0], requires_grad=True)
-        p.grad = np.array([1.0])
-        state = AdamWState.for_param(p)
-        adamw_step(p, state, lr=0.01)
+        p, opt = one_param(1.0, 1.0)
+        opt.step(lr=0.01)
         assert p.data[0] == pytest.approx(0.99, abs=1e-6)
-        assert state.step == 1
+        assert opt.t == 1
 
     def test_zero_grad_no_decay_unchanged(self):
-        p = Tensor([1.0], requires_grad=True)
-        p.grad = np.array([0.0])
-        adamw_step(p, AdamWState.for_param(p), lr=0.01)
+        p, opt = one_param(1.0, 0.0)
+        opt.step(lr=0.01)
         assert p.data[0] == pytest.approx(1.0)
 
     def test_decoupled_weight_decay(self):
-        p = Tensor([1.0], requires_grad=True)
-        p.grad = np.array([1.0])
-        adamw_step(p, AdamWState.for_param(p, weight_decay=0.1), lr=0.01)
+        p, opt = one_param(1.0, 1.0, weight_decay=0.1)
+        opt.step(lr=0.01)
         assert p.data[0] == pytest.approx(0.989, abs=1e-5)
 
     def test_missing_grad(self):
         p = Tensor([1.0], requires_grad=True)
         with pytest.raises(ContractError):
-            adamw_step(p, AdamWState.for_param(p), lr=0.01)
+            AdamW([("p", p)]).step(lr=0.01)
+
+    def test_zero_grad_clears_without_stepping(self):
+        p, opt = one_param(1.0, 1.0)
+        opt.zero_grad()
+        assert p.grad is None and p.data[0] == 1.0 and opt.t == 0
+
+    def test_three_steps_match_textbook_exactly(self):
+        rng = np.random.default_rng(20)
+        init = [rng.normal(size=(3, 2)), rng.normal(size=4)]
+        grads = [[rng.normal(size=x.shape) for x in init] for _ in range(3)]
+        lrs, wd = [0.01, 0.005, 0.002], 0.1
+        params = [Tensor(x.copy(), requires_grad=True) for x in init]
+        opt = AdamW([(f"p{i}", p) for i, p in enumerate(params)], wd)
+        for gs, lr in zip(grads, lrs):
+            for p, g in zip(params, gs):
+                p.grad = g.copy()
+            opt.step(lr)
+            assert all(p.grad is None for p in params)
+        # AdamW as published: bias-corrected moments, decay decoupled from them
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for i, x in enumerate(init):
+            m = v = np.zeros_like(x)
+            for t, (gs, lr) in enumerate(zip(grads, lrs), start=1):
+                g = gs[i]
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * g * g
+                m_hat = m / (1 - b1 ** t)
+                v_hat = v / (1 - b2 ** t)
+                x = x - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * x)
+            assert np.array_equal(params[i].data, x)

@@ -13,6 +13,7 @@ import numpy as np
 
 from fusionseg import tensor as T
 from fusionseg.attention import AttentionStage
+from fusionseg.gan import GanPair, gan_train_step
 from fusionseg.tensor import Tensor
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -51,3 +52,16 @@ def test_tracer_records_one_by_one_convs_as_conv2d():
     after = fusionseg_attributes(tracing)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_tracer_records_one_adamw_step_per_parameter():
+    # training.phase.optimizer_ms is the time inside these spans
+    tracing = load_tracing()
+    pair = GanPair(seed=0)
+    rng = np.random.default_rng(2)
+    x, y = (Tensor(rng.uniform(size=(1, 1, 8, 8))) for _ in range(2))
+    with tracing.Tracer() as tracer:
+        gan_train_step(pair, x, y, 1e-3)
+    n_params = len(pair.gen_opt.params) + len(pair.disc_opt.params)
+    assert n_params == len(pair.named_params())
+    assert [span[0] for span in tracer.spans].count("tensor.adamw_step") == n_params
