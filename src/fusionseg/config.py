@@ -50,8 +50,14 @@ class TrainConfig:
                 f"width_mult and depth_mult must be in (0, {MAX_MULT:g}]")
         if self.lr_min > self.lr_init:
             raise ConfigurationError("lr_min must not exceed lr_init")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigurationError("epochs and batch_size must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1 or self.gan_batch_size < 1:
+            raise ConfigurationError(
+                "epochs, batch_size and gan_batch_size must be >= 1")
+        if self.gan_iterations < 0:
+            raise ConfigurationError("gan_iterations must be >= 0")
+        if min(self.lr_min, self.gan_lr, self.weight_decay, self.lambda_cyc) < 0:
+            raise ConfigurationError(
+                "lr_min, gan_lr, weight_decay and lambda_cyc must be >= 0")
         self.ablation.validate()
 
     def to_json(self) -> str:

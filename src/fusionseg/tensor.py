@@ -112,7 +112,7 @@ def transpose2d(x: Tensor) -> Tensor:
     """Swap the last two axes."""
     if x.data.ndim < 2:
         raise DimensionError("transpose2d expects a tensor of rank >= 2")
-    # the gradient is copied: a strided view slows every einsum it reaches
+    # output and gradient are copied: a strided view slows the op that reads it
     return _node(np.swapaxes(x.data, -1, -2).copy(), (x,),
                  lambda g: (np.swapaxes(g, -1, -2).copy(),))
 
@@ -132,11 +132,28 @@ def conv_output_extent(n, k, stride, dilation, padding):
     return (n + 2 * padding - dilation * (k - 1) - 1) // stride + 1
 
 
+def _channels_last(a, padding):
+    """[B,C,H,W] -> a new zero-padded, contiguous [B,H+2p,W+2p,C] array."""
+    b, c, h, w = a.shape
+    out = np.zeros((b, h + 2 * padding, w + 2 * padding, c))
+    out[:, padding:padding + h, padding:padding + w] = a.transpose(0, 2, 3, 1)
+    return out
+
+
 def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
+    """Dilated, strided, zero-padded 2-d convolution as one GEMM per tap.
+
+    The input is copied once, channels-last, so each tap (i, j) is a strided
+    window ``[B,Ho,Wo,C]`` times ``w[:, :, i, j].T`` (``[C,O]``), a GEMM with
+    no im2col buffer; the products sum into one ``[B,Ho,Wo,O]`` buffer. The
+    tape keeps that copy only when it is padded. Unpadded, it holds the same
+    values as ``x.data``, so backward rebuilds it instead and the tape holds
+    no second copy of the input.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects 4-d input and weight")
-    _, cin, h, wd = x.data.shape
-    _, cin_w, kh, kw = w.data.shape
+    b, cin, h, wd = x.data.shape
+    cout, cin_w, kh, kw = w.data.shape
     if kh != kw or kh % 2 == 0:
         raise DimensionError(f"conv2d kernel must be square and odd, got {kh}x{kw}")
     if cin_w != cin:
@@ -151,25 +168,30 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
             f"conv2d output extent nonpositive for input {h}x{wd}, "
             f"k={k}, stride={stride}, dilation={dilation}, padding={padding}")
 
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # small kernels: one shifted window of the padded input per tap (i, j)
-    taps = [(i, j, (slice(None), slice(None),
+    # one shifted window of the channels-last padded input per tap (i, j)
+    taps = [(i, j, (slice(None),
                     slice(i * dilation, i * dilation + stride * (hout - 1) + 1, stride),
                     slice(j * dilation, j * dilation + stride * (wout - 1) + 1, stride)))
             for i in range(k) for j in range(k)]
-    out = np.einsum("bchw,oc->bohw", xp[taps[0][2]], w.data[:, :, 0, 0])
-    for i, j, sl in taps[1:]:
-        out += np.einsum("bchw,oc->bohw", xp[sl], w.data[:, :, i, j])
+    xc = _channels_last(x.data, padding)
+    wk = w.data.transpose(2, 3, 1, 0).copy()  # tap (i, j) -> [C, O]
+    acc = np.zeros((b, hout, wout, cout))
+    for i, j, sl in taps:
+        acc += xc[sl] @ wk[i, j]
+    out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+    kept = xc if padding else None
 
     def backward(g):
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w.data)
+        xg = kept if padding else _channels_last(x.data, 0)
+        g4 = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+        g2d = g4.reshape(-1, cout)
+        dxc = np.zeros_like(xg)
+        dw = np.empty((cout, cin, k, k))
         for i, j, sl in taps:
-            dw[:, :, i, j] = np.einsum("bohw,bchw->oc", g, xp[sl])
-            dxp[sl] += np.einsum("bohw,oc->bchw", g, w.data[:, :, i, j])
-        return (dxp[:, :, padding:padding + h, padding:padding + wd], dw)
+            dw[:, :, i, j] = g2d.T @ xg[sl].reshape(-1, cin)
+            dxc[sl] += g4 @ w.data[:, :, i, j]
+        dx = dxc[:, padding:padding + h, padding:padding + wd].transpose(0, 3, 1, 2)
+        return (np.ascontiguousarray(dx), dw)
 
     return _node(out, (x, w), backward)
 

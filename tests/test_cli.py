@@ -215,13 +215,22 @@ class TestConfigFile:
         json.dumps({"gan_lr": 10 ** 400}),
         json.dumps({"width_mult": 1e300}),
         json.dumps({"depth_mult": 1e300}),
+        json.dumps({"gan_batch_size": -1}),
+        json.dumps({"gan_batch_size": 0}),
+        json.dumps({"gan_iterations": -3}),
+        json.dumps({"lr_init": -0.1, "lr_min": -0.2}),
+        json.dumps({"gan_lr": -5e-4}),
+        json.dumps({"weight_decay": -5e-4}),
+        json.dumps({"lambda_cyc": -10.0}),
     ], ids=["lr_min_above_lr_init", "unknown_key", "string_for_int",
             "bool_for_int", "unknown_ablation_key", "ablation_not_object",
             "not_an_object", "malformed_json", "negative_seed",
             "infinite_depth_mult", "nan_width_mult", "nan_lr_init",
             "negative_infinite_lambda_cyc", "zero_width_mult",
             "negative_depth_mult", "int_beyond_float_range",
-            "huge_width_mult", "huge_depth_mult"])
+            "huge_width_mult", "huge_depth_mult", "negative_gan_batch_size",
+            "zero_gan_batch_size", "negative_gan_iterations", "negative_lr",
+            "negative_gan_lr", "negative_weight_decay", "negative_lambda_cyc"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)

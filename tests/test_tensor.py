@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,28 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+
+
+def direct_conv(x, w, g, stride, dilation, padding):
+    """Output and both gradients (for upstream g) by a nested-loop direct conv."""
+    b, _, h, wd = x.shape
+    _, _, k, _ = w.shape
+    ho = T.conv_output_extent(h, k, stride, dilation, padding)
+    wo = T.conv_output_extent(wd, k, stride, dilation, padding)
+    out = np.zeros((b, w.shape[0], ho, wo))
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for n in range(b):
+        for oy in range(ho):
+            for ox in range(wo):
+                for i in range(k):
+                    for j in range(k):
+                        y = oy * stride + i * dilation - padding
+                        xx = ox * stride + j * dilation - padding
+                        if 0 <= y < h and 0 <= xx < wd:
+                            out[n, :, oy, ox] += w[:, :, i, j] @ x[n, :, y, xx]
+                            dx[n, :, y, xx] += w[:, :, i, j].T @ g[n, :, oy, ox]
+                            dw[:, :, i, j] += np.outer(g[n, :, oy, ox], x[n, :, y, xx])
+    return out, dx, dw
 
 
 class TestConv2d:
@@ -83,6 +107,39 @@ class TestConv2d:
         assert grad_check(loss, conv.w) < 1e-8
         loss(None).backward()
         assert np.all(x.grad[:, :, -1, :] == 0) and np.all(x.grad[:, :, :, -1] == 0)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("k,stride,dilation,padding", [
+        (k, s, d, p) for k in (1, 3) for s in (1, 2) for d in (1, 2, 4)
+        for p in sorted({0, 1, d})])
+    def test_matches_direct_conv(self, batch, k, stride, dilation, padding):
+        rng = np.random.default_rng(7)
+        x = rand(rng, batch, 3, 11, 10)
+        w = rand(rng, 5, 3, k, k)
+        out = T.conv2d(x, w, stride, dilation, padding)
+        g = rng.normal(size=out.data.shape)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        expected = direct_conv(x.data, w.data, g, stride, dilation, padding)
+        for got, want in zip((out.data, x.grad, w.grad), expected):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1), (3, 0)])
+    def test_tape_holds_no_extra_input_copy(self, k, padding):
+        # an unpadded conv keeps no copy of its input: backward rebuilds it
+        rng = np.random.default_rng(8)
+        x = rand(rng, 8, 16, 32, 32)
+        w = rand(rng, 16, 16, k, k)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.conv2d(x, w, padding=padding)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        padded = 8 * 16 * (32 + 2 * padding) ** 2 * 8 if padding else 0
+        assert held - out.data.nbytes - padded < 64 * 1024
 
 
 class TestPointwise:
