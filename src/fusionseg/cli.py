@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -22,6 +23,21 @@ VERBOSE = os.environ.get("FUSIONSEG_LOG", "info") != "quiet"
 def _log(msg):
     if VERBOSE:
         print(msg)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error raised as ``ConfigurationError``, not exit 2.
+
+    It also reads a negative number in exponent notation ("-5e-4") as a
+    value: argparse before Python 3.13 takes it for an option name.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        raise ConfigurationError(message)
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -117,7 +133,7 @@ def cmd_export_maps(args):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fusionseg",
         description="SAR segmentation with GAN-generated optical fusion")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -136,16 +152,23 @@ def main(argv=None) -> int:
         if name == "export-maps":
             p.add_argument("--maps-dir")
         p.set_defaults(fn=fn)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         args.fn(args)
+    except SystemExit as e:  # --help, after printing the help text
+        return e.code
     except FusionSegError as e:
-        print(f"error:{e.category}: {e}", file=sys.stderr)
-        return 1
+        return _fail(e.category, e)
     except OSError as e:
-        print(f"error:io: {e}", file=sys.stderr)
-        return 1
+        return _fail("io", e)
     return 0
+
+
+def _fail(category, error) -> int:
+    """One ``error:<category>:`` line on stderr, even if the message has newlines."""
+    message = str(error).replace("\n", "\\n")
+    print(f"error:{category}: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

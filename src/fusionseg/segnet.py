@@ -36,15 +36,16 @@ class AblationConfig:
 
 def stitch_channels_input(sar: Tensor, cfg: AblationConfig,
                           generator: GeneratorNet | None) -> Tensor:
-    """Assemble the encoder input; the generator sees no gradient."""
+    """Assemble the encoder input; the frozen generator records no tape."""
     cfg.validate()
     if not cfg.use_gan:
         return sar
     if generator is None:
         raise ConfigurationError("use_gan set but no generator loaded")
-    fake_optical = generator(Tensor(sar.data)).detach()
+    with T.no_grad():
+        fake_optical = generator(sar)
     if cfg.use_combine:
-        return T.concat_channels(sar, Tensor(fake_optical.data))
+        return T.concat_channels(sar, fake_optical)
     return fake_optical
 
 
@@ -156,7 +157,14 @@ class FusionSegNet(Module):
                                max(8, round(16 * width_mult)), rng=rng)
 
     def __call__(self, sar: Tensor) -> Tensor:
-        x = stitch_channels_input(sar, self.cfg, self._generator)
+        return self.body(self.stitch(sar))
+
+    def stitch(self, sar: Tensor) -> Tensor:
+        """The encoder input for a SAR batch: the SAR, its translation, or both."""
+        return stitch_channels_input(sar, self.cfg, self._generator)
+
+    def body(self, x: Tensor) -> Tensor:
+        """Logits from a stitched input: attention or lift, encoder, ASPP, decoder."""
         if self.attention is not None:
             x = self.attention(x)
         else:

@@ -2,10 +2,13 @@
 
 All values are float64. Ops build an acyclic tape; ``Tensor.backward`` walks
 it in reverse topological order and accumulates gradients additively, so a
-tensor consumed twice receives the sum of both path gradients.
+tensor consumed twice receives the sum of both path gradients. Inside a
+``no_grad()`` block ops record no tape.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -80,8 +83,27 @@ class Tensor:
                     grads[id(p)] = pg
 
 
+_recording = True  # False inside no_grad(); one switch for the process
+
+
+@contextmanager
+def no_grad():
+    """Ops inside the block record no tape: outputs keep no parents, no closure.
+
+    For forward-only passes, which would otherwise hold every intermediate
+    array alive until the output is dropped. The previous state comes back
+    on exit, after an exception too, so blocks nest.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _node(data, parents, backward_fn):
-    requires = any(p.requires_grad for p in parents)
+    requires = _recording and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=requires,
                   _parents=parents if requires else (),
                   _backward_fn=backward_fn if requires else None)

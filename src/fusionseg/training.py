@@ -63,17 +63,26 @@ def batch_losses(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray):
     return logits, dice, bce, composite_loss(dice, bce)
 
 
-def predicted_masks(net: FusionSegNet, sar: np.ndarray, batch_size: int):
-    """Yield (first index, boolean foreground masks [B,H,W]) per batch, in order."""
+def predicted_masks(net, sar: np.ndarray, batch_size: int):
+    """Yield (first index, boolean foreground masks [B,H,W]) per batch, in order.
+
+    ``net`` maps an input batch to logits; it runs with no tape.
+    """
     for start in range(0, len(sar), batch_size):
-        logits = net(Tensor(sar[start:start + batch_size]))
+        # only the call: a block held open across the yield would leave the
+        # tape off in the caller's code too
+        with T.no_grad():
+            logits = net(Tensor(sar[start:start + batch_size]))
         # not logits >= 0: a tiny negative logit rounds to probability 0.5
         yield start, 1.0 / (1.0 + np.exp(-logits.data[:, 0])) >= 0.5
 
 
-def evaluate(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray,
-             batch_size: int = 8):
-    """Accumulate one confusion matrix over a split; fixed index order."""
+def evaluate(net, sar: np.ndarray, masks: np.ndarray, batch_size: int = 8):
+    """Accumulate one confusion matrix over a split; fixed index order.
+
+    ``net`` is any callable from an input batch to logits: a ``FusionSegNet``
+    on SAR images, or its ``body`` on inputs it has stitched already.
+    """
     if len(sar) == 0:
         raise DomainError("cannot evaluate an empty split")
     cm = ConfusionMatrix(2)
@@ -83,6 +92,22 @@ def evaluate(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray,
     return {"fwiou": fwiou(cm), "fwiou_percent": 100.0 * fwiou(cm),
             "iou_per_class": [float(v) for v in iou_per_class(cm)],
             "confusion": cm.counts.tolist()}
+
+
+def _stitched_split(net: FusionSegNet, sar: np.ndarray, batch_size: int):
+    """``net.stitch`` of a split, in the chunks ``evaluate`` uses, concatenated.
+
+    The generator is frozen, so one stitch serves every epoch. Its batch
+    norm uses batch statistics, so its output for an image depends on the
+    images that share its batch: only these exact chunks give ``net.body``
+    the input that ``net`` would stitch itself.
+    """
+    if len(sar) == 0:
+        return sar
+    with T.no_grad():
+        return np.concatenate([
+            net.stitch(Tensor(sar[start:start + batch_size])).data
+            for start in range(0, len(sar), batch_size)])
 
 
 def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
@@ -97,6 +122,7 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
     opt = AdamW(net.named_params(), config.weight_decay)
     rng = np.random.Generator(np.random.PCG64(config.seed + 7))
     records = []
+    val_inputs = _stitched_split(net, sar_val, config.batch_size)
     metrics_file = open(metrics_path, "w") if metrics_path else None
     best_fwiou = -1.0
     try:
@@ -119,7 +145,7 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
                 bce_sum += bce.item()
                 comp_sum += comp.item()
                 n_batches += 1
-            val = (evaluate(net, sar_val, mask_val, config.batch_size)
+            val = (evaluate(net.body, val_inputs, mask_val, config.batch_size)
                    if len(sar_val) else None)
             record = {
                 "epoch": epoch,

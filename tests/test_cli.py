@@ -1,12 +1,16 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fusionseg.checkpoint import save_checkpoint
 from fusionseg.cli import main
-from fusionseg.config import TrainConfig
+from fusionseg.config import TrainConfig, field_types
 from fusionseg.errors import ContractError
+from fusionseg.segnet import AblationConfig
 from fusionseg.training import build_net, lr_schedule
 
 
@@ -241,3 +245,67 @@ class TestConfigFile:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:config:") and err.count("\n") == 1
+
+
+ONE_ERROR_LINE = re.compile(r"error:[a-z]+: [^\n]*\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--epochs", "abc"], "invalid int value: 'abc'"),
+    (["train", "--epochs"], "expected one argument"),
+    (["train", "--no-such-flag", "1"], "unrecognized arguments"),
+    (["eval"], "required: --checkpoint"),
+    (["bogus"], "invalid choice"),
+    ([], "required: command"),
+    # exponent-notation negatives reach TrainConfig.validate
+    (["pretrain-gan", "--gan-lr", "-5e-4"], "gan_lr, weight_decay"),
+    (["train", "--weight-decay", "-5e-4"], "gan_lr, weight_decay"),
+    (["train", "--lambda-cyc", "-1E+1"], "gan_lr, weight_decay"),
+], ids=["int_typo", "missing_value", "unknown_flag", "missing_required",
+        "unknown_command", "no_command", "negative_exponent_gan_lr",
+        "negative_exponent_weight_decay", "negative_exponent_lambda_cyc"])
+def test_usage_error_is_one_config_line(tmp_path, monkeypatch, capsys, argv,
+                                        message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:") and ONE_ERROR_LINE.fullmatch(err)
+    assert message in err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["train", "--help"]) == 0
+    assert "--epochs" in capsys.readouterr().out
+
+
+COMMANDS = ("gen-data", "pretrain-gan", "train", "ablate", "eval",
+            "export-maps")
+SWITCHES = ("--use-gan", "--use-attention", "--use-combine", "--help")
+FLAGS = tuple("--" + name.replace("_", "-") for name, kind in
+              field_types(TrainConfig).items() if kind is not dict)
+FLAGS += ("--config", "--checkpoint", "--split", "--maps-dir")
+# relative names only, so nothing is written outside the test's directory
+JUNK = ("abc", "", "0", "1", "2", "-1", "0.5", "-5e-4", "1e999", "nan",
+        "-inf", "val", "test", "runs/last.ckpt", "runs/gan.ckpt", "-h",
+        "--epochs", "x\ny")
+TOKENS = st.one_of(st.sampled_from(FLAGS + SWITCHES), st.sampled_from(JUNK),
+                   st.text(alphabet="ab019e-", max_size=4))
+ARGS = st.one_of(st.tuples(st.sampled_from(SWITCHES)),
+                 st.tuples(st.sampled_from(FLAGS), st.sampled_from(JUNK)),
+                 st.tuples(TOKENS))
+# appended last, so they override drawn values and every run stays small
+SMALL_RUN = ["--epochs", "1", "--gan-iterations", "0", "--n-train", "2",
+             "--n-val", "1", "--n-test", "1", "--image-size", "32",
+             "--width-mult", "1", "--depth-mult", "1"]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(COMMANDS + ("", "bogus", "--help")),
+       args=st.lists(ARGS, max_size=5))
+def test_any_argv_exits_zero_or_one_error_line(tmp_path, monkeypatch, capsys,
+                                               command, args):
+    monkeypatch.chdir(tmp_path)  # shared by the examples: later ones see data
+    rc = main([command] + [t for arg in args for t in arg] + SMALL_RUN)
+    err = capsys.readouterr().err
+    assert rc == 0 or (rc == 1 and ONE_ERROR_LINE.fullmatch(err)), (rc, err)

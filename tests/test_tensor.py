@@ -291,6 +291,46 @@ class TestBackward:
         assert err < 1e-8
 
 
+def taped(x):
+    """An op on a grad-requiring input records its tape."""
+    out = T.mul(x, x)
+    return (out.requires_grad and out._parents == (x, x)
+            and out._backward_fn is not None)
+
+
+class TestNoGrad:
+    def test_op_inside_records_no_tape(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        with T.no_grad():
+            out = T.relu(T.mul(x, x))
+        assert out._parents == () and out._backward_fn is None
+        assert not out.requires_grad
+        assert np.array_equal(out.data, [1.0, 4.0])
+
+    def test_recording_back_after_normal_exit(self):
+        x = Tensor([3.0], requires_grad=True)
+        with T.no_grad():
+            pass
+        assert taped(x)
+        T.reduce_sum(T.mul(x, x)).backward()
+        assert np.array_equal(x.grad, [6.0])
+
+    def test_recording_back_after_exception(self):
+        x = Tensor([3.0], requires_grad=True)
+        with pytest.raises(DimensionError):
+            with T.no_grad():
+                T.add(x, Tensor([1.0, 2.0]))
+        assert taped(x)
+
+    def test_nested_blocks_restore_outer_state(self):
+        x = Tensor([3.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not taped(x)
+        assert taped(x)
+
+
 class TestGradCheck:
     def test_quadratic(self):
         x = Tensor(np.random.default_rng(8).normal(size=5), requires_grad=True)
