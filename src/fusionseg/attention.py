@@ -22,7 +22,6 @@ class ExternalAttention(Module):
     def __init__(self, s=16, d=8, rng=None):
         if s < 1 or d < 1:
             raise DimensionError("memory units and feature dim must be >= 1")
-        self.s = s
         self.d = d
         bound = 1.0 / np.sqrt(d)
         self.m_k = Tensor(rng.uniform(-bound, bound, size=(s, d)), requires_grad=True)

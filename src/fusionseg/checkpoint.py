@@ -37,7 +37,7 @@ def save_checkpoint(path, named_arrays) -> None:
 
 
 def load_checkpoint(path):
-    """Returns an ordered dict-like list preserved as dict (py3.7+ ordered)."""
+    """Returns name -> float64 array, in file order; each array is its own copy."""
     try:
         # a view, so reading each field below copies no bytes
         raw = memoryview(Path(path).read_bytes())
@@ -83,4 +83,4 @@ def load_into_params(path, named_params) -> None:
             raise IOError_(f"{path}: shape mismatch for '{name}'")
         if not np.all(np.isfinite(stored[name])):
             raise IOError_(f"{path}: non-finite values in '{name}'")
-        param.data = stored[name].copy()
+        param.data = stored[name]

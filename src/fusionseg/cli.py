@@ -62,8 +62,7 @@ def _build_config(args) -> TrainConfig:
     return TrainConfig.from_dict(base)
 
 
-def cmd_gen_data(args):
-    config = _build_config(args)
+def cmd_gen_data(config, args):
     spec = SceneSpec(image_size=config.image_size, seed=config.seed)
     manifest = make_dataset(spec, config.data_dir, config.n_train,
                             config.n_val, config.n_test, config.seed)
@@ -71,8 +70,7 @@ def cmd_gen_data(args):
     _log(f"dataset written to {config.data_dir}: {counts}")
 
 
-def cmd_pretrain_gan(args):
-    config = _build_config(args)
+def cmd_pretrain_gan(config, args):
     sar, _, optical = load_split(config.data_dir, "train")
     if len(sar) == 0:
         raise ConfigurationError("no training data; run gen-data first")
@@ -91,8 +89,7 @@ def cmd_pretrain_gan(args):
     _log(f"GAN checkpoint written to {config.gan_checkpoint}")
 
 
-def cmd_train(args):
-    config = _build_config(args)
+def cmd_train(config, args):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     net, records = train(
@@ -104,17 +101,21 @@ def cmd_train(args):
     _log(f"final val_fwiou={records[-1]['val_fwiou']}")
 
 
-def cmd_eval(args):
-    config = _build_config(args)
+def _checkpointed_net_and_split(config, args):
+    """The net with ``--checkpoint`` loaded, and the ``--split`` SAR and masks."""
     net = build_net(config)
     net.load(args.checkpoint)
     sar, masks, _ = load_split(config.data_dir, args.split)
+    return net, sar, masks
+
+
+def cmd_eval(config, args):
+    net, sar, masks = _checkpointed_net_and_split(config, args)
     report = evaluate(net, sar, masks, config.batch_size)
     print(json.dumps(report, indent=1, sort_keys=True))
 
 
-def cmd_ablate(args):
-    config = _build_config(args)
+def cmd_ablate(config, args):
     rows = run_ablation(config, log=_log)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -122,11 +123,8 @@ def cmd_ablate(args):
     print(format_ablation_table(rows))
 
 
-def cmd_export_maps(args):
-    config = _build_config(args)
-    net = build_net(config)
-    net.load(args.checkpoint)
-    sar, masks, _ = load_split(config.data_dir, args.split)
+def cmd_export_maps(config, args):
+    net, sar, masks = _checkpointed_net_and_split(config, args)
     written = export_maps(net, sar, masks, args.maps_dir or
                           Path(config.out_dir) / "maps", config.batch_size)
     _log(f"wrote {len(written)} prediction maps")
@@ -154,7 +152,7 @@ def main(argv=None) -> int:
         p.set_defaults(fn=fn)
     try:
         args = parser.parse_args(argv)
-        args.fn(args)
+        args.fn(_build_config(args), args)
     except SystemExit as e:  # --help, after printing the help text
         return e.code
     except FusionSegError as e:

@@ -58,7 +58,6 @@ class TrainConfig:
         if min(self.lr_min, self.gan_lr, self.weight_decay, self.lambda_cyc) < 0:
             raise ConfigurationError(
                 "lr_min, gan_lr, weight_decay and lambda_cyc must be >= 0")
-        self.ablation.validate()
 
     def to_json(self) -> str:
         d = asdict(self)

@@ -15,6 +15,8 @@ from .errors import ConfigurationError, DimensionError, DomainError
 from .layers import BatchNorm2d, Conv2d, ConvBNRelu, Module
 from .tensor import AdamW, Tensor
 
+BASE = 8  # channels of the first conv of every generator and discriminator
+
 
 class ResidualBlock(Module):
     def __init__(self, c, rng):
@@ -35,14 +37,14 @@ class GeneratorNet(Module):
     constant 0.5 everywhere.
     """
 
-    def __init__(self, rng, base=8):
-        self.down1 = ConvBNRelu(1, base, 3, stride=2, padding=1, rng=rng)
-        self.down2 = ConvBNRelu(base, 2 * base, 3, stride=2, padding=1, rng=rng)
-        self.res1 = ResidualBlock(2 * base, rng)
-        self.res2 = ResidualBlock(2 * base, rng)
-        self.up1 = ConvBNRelu(2 * base, base, 3, padding=1, rng=rng)
-        self.up2 = ConvBNRelu(base, base, 3, padding=1, rng=rng)
-        self.final = Conv2d(base, 1, 1, zero_init=True)
+    def __init__(self, rng):
+        self.down1 = ConvBNRelu(1, BASE, 3, stride=2, padding=1, rng=rng)
+        self.down2 = ConvBNRelu(BASE, 2 * BASE, 3, stride=2, padding=1, rng=rng)
+        self.res1 = ResidualBlock(2 * BASE, rng)
+        self.res2 = ResidualBlock(2 * BASE, rng)
+        self.up1 = ConvBNRelu(2 * BASE, BASE, 3, padding=1, rng=rng)
+        self.up2 = ConvBNRelu(BASE, BASE, 3, padding=1, rng=rng)
+        self.final = Conv2d(BASE, 1, 1, zero_init=True)
 
     def __call__(self, x):
         if x.data.ndim != 4 or x.data.shape[1] != 1:
@@ -57,10 +59,10 @@ class GeneratorNet(Module):
 class DiscriminatorNet(Module):
     """Strided-conv patch classifier; scores squashed to (0,1)."""
 
-    def __init__(self, rng, base=8):
-        self.c1 = ConvBNRelu(1, base, 3, stride=2, padding=1, rng=rng)
-        self.c2 = ConvBNRelu(base, 2 * base, 3, stride=2, padding=1, rng=rng)
-        self.head = Conv2d(2 * base, 1, 3, padding=1, rng=rng)
+    def __init__(self, rng):
+        self.c1 = ConvBNRelu(1, BASE, 3, stride=2, padding=1, rng=rng)
+        self.c2 = ConvBNRelu(BASE, 2 * BASE, 3, stride=2, padding=1, rng=rng)
+        self.head = Conv2d(2 * BASE, 1, 3, padding=1, rng=rng)
 
     def __call__(self, x):
         return T.sigmoid(self.head(self.c2(self.c1(x))))

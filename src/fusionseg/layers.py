@@ -69,13 +69,12 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, c, eps=1e-5):
-        self.eps = eps
+    def __init__(self, c):
         self.gamma = Tensor(np.ones(c), requires_grad=True)
         self.beta = Tensor(np.zeros(c), requires_grad=True)
 
     def __call__(self, x):
-        return T.batchnorm2d(x, self.gamma, self.beta, self.eps)
+        return T.batchnorm2d(x, self.gamma, self.beta)
 
 
 class ConvBNRelu(Module):

@@ -25,7 +25,7 @@ class AblationConfig:
     use_attention: bool = False
     use_combine: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if self.use_combine and not self.use_gan:
             raise ConfigurationError("use_combine requires use_gan")
 
@@ -37,7 +37,6 @@ class AblationConfig:
 def stitch_channels_input(sar: Tensor, cfg: AblationConfig,
                           generator: GeneratorNet | None) -> Tensor:
     """Assemble the encoder input; the frozen generator records no tape."""
-    cfg.validate()
     if not cfg.use_gan:
         return sar
     if generator is None:
@@ -97,24 +96,18 @@ class Aspp(Module):
     def __init__(self, c_in, c_out, rates, rng):
         if not rates:
             raise ConfigurationError("ASPP needs at least one dilation rate")
-        self.rates = tuple(rates)
         self.one = ConvBNRelu(c_in, c_out, 1, rng=rng)
         self.atrous = [ConvBNRelu(c_in, c_out, 3, dilation=r, padding=r, rng=rng)
-                       for r in self.rates]
+                       for r in rates]
         self.pool = Conv2d(c_in, c_out, 1, rng=rng)
-        n_branches = 2 + len(self.rates)
-        self.fuse = ConvBNRelu(n_branches * c_out, c_out, 1, rng=rng)
+        self.fuse = ConvBNRelu((2 + len(rates)) * c_out, c_out, 1, rng=rng)
 
     def __call__(self, x):
-        h, w = x.data.shape[2], x.data.shape[3]
         branches = [self.one(x)]
         branches.extend(a(x) for a in self.atrous)
         pooled = T.relu(self.pool(T.spatial_mean(x)))
-        branches.append(T.tile_spatial(pooled, h, w))
-        merged = branches[0]
-        for b in branches[1:]:
-            merged = T.concat_channels(merged, b)
-        return self.fuse(merged)
+        branches.append(T.tile_spatial(pooled, *x.data.shape[2:]))
+        return self.fuse(T.concat_channels(*branches))
 
 
 class Decoder(Module):
@@ -134,25 +127,27 @@ class Decoder(Module):
 
 
 class FusionSegNet(Module):
+    attention_units = 16
+    attention_dim = 8
+    aspp_rates = (1, 2, 4)
+
     def __init__(self, cfg: AblationConfig, seed: int, width_mult=1.0,
-                 depth_mult=1.0, attention_units=16, attention_dim=8,
-                 aspp_rates=(1, 2, 4), generator: GeneratorNet | None = None):
-        cfg.validate()
+                 depth_mult=1.0, generator: GeneratorNet | None = None):
         self.cfg = cfg
         self._generator = generator  # frozen: "_" keeps it out of named_params
         rng = np.random.Generator(np.random.PCG64(seed))
         c_in = cfg.input_channels
         lift_out = max(1, round(8 * width_mult))
         if cfg.use_attention:
-            self.attention = AttentionStage(c_in, attention_dim, lift_out,
-                                            s=attention_units, rng=rng)
+            self.attention = AttentionStage(c_in, self.attention_dim, lift_out,
+                                            s=self.attention_units, rng=rng)
             self.lift = None
         else:
             self.attention = None
             self.lift = Conv2d(c_in, lift_out, 1, rng=rng)
         self.encoder = Encoder(lift_out, width_mult, depth_mult, rng=rng)
         c_high = self.encoder.high_channels
-        self.aspp = Aspp(c_high, c_high, aspp_rates, rng=rng)
+        self.aspp = Aspp(c_high, c_high, self.aspp_rates, rng=rng)
         self.decoder = Decoder(c_high, self.encoder.low_channels,
                                max(8, round(16 * width_mult)), rng=rng)
 

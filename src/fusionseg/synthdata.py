@@ -157,6 +157,7 @@ def generate_sample(spec: SceneSpec, sample_seed: int):
 # dataset persistence
 
 MANIFEST_NAME = "manifest.json"
+KINDS = ("sar", "optical", "mask")  # the images of one manifest entry
 
 
 def make_dataset(spec: SceneSpec, out_dir, n_train, n_val, n_test,
@@ -177,8 +178,7 @@ def make_dataset(spec: SceneSpec, out_dir, n_train, n_val, n_test,
         entries = []
         for _ in range(count):
             sar, optical, mask = generate_sample(spec, seed ^ index)
-            names = {kind: f"{split}/{kind}_{index:05d}.pgm"
-                     for kind in ("sar", "optical", "mask")}
+            names = {kind: f"{split}/{kind}_{index:05d}.pgm" for kind in KINDS}
             write_pgm(out / names["sar"], quantize_u8(sar))
             write_pgm(out / names["optical"], quantize_u8(optical))
             write_pgm(out / names["mask"], mask)
@@ -191,27 +191,46 @@ def make_dataset(spec: SceneSpec, out_dir, n_train, n_val, n_test,
 
 
 def load_manifest(data_dir) -> dict:
+    """The parsed manifest; one that is not a JSON object of splits is an I/O error."""
     path = Path(data_dir) / MANIFEST_NAME
     if not path.exists():
         raise ConfigurationError(f"no dataset manifest at {path}")
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise IOError_(f"malformed manifest {path}: {e}") from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("splits"), dict)):
+        raise IOError_(f"{path}: not a JSON object with a 'splits' object")
+    return manifest
 
 
 def load_split(data_dir, split: str):
-    """Returns (sar [N,1,H,W] in [0,1], masks [N,H,W] in {0,1}, optical [N,1,H,W])."""
+    """Returns (sar [N,1,H,W] in [0,1], masks [N,H,W] in {0,1}, optical [N,1,H,W]).
+
+    Every image must have the extent of the split's first SAR image.
+    """
     manifest = load_manifest(data_dir)
     if split not in manifest["splits"]:
         raise ConfigurationError(f"unknown split '{split}'")
     entries = manifest["splits"][split]
     root = Path(data_dir)
-    sars, opticals, masks = [], [], []
-    for e in entries:
-        sars.append(read_pgm(root / e["sar"]).astype(np.float64) / 255.0)
-        opticals.append(read_pgm(root / e["optical"]).astype(np.float64) / 255.0)
-        masks.append((read_pgm(root / e["mask"]) > 127).astype(np.float64))
+    if not isinstance(entries, list):
+        raise IOError_(f"{root / MANIFEST_NAME}: split '{split}' is not a list")
     if not entries:
         return (np.zeros((0, 1, 0, 0)), np.zeros((0, 0, 0)), np.zeros((0, 1, 0, 0)))
-    sar = np.stack(sars)[:, None]
-    optical = np.stack(opticals)[:, None]
-    mask = np.stack(masks)
+    images = {kind: [] for kind in KINDS}
+    for e in entries:
+        if not (isinstance(e, dict) and all(isinstance(e.get(k), str) for k in KINDS)):
+            raise IOError_(f"{root / MANIFEST_NAME}: a '{split}' entry lacks "
+                           f"string sar, optical and mask paths: {e!r}")
+        for kind in KINDS:
+            img = read_pgm(root / e[kind])
+            extent = images["sar"][0].shape if images["sar"] else img.shape
+            if img.shape != extent:
+                raise IOError_(f"{root / e[kind]}: extent {img.shape} differs from "
+                               f"the split's first SAR image, {extent}")
+            images[kind].append(img)
+    sar = np.stack(images["sar"])[:, None] / 255.0
+    optical = np.stack(images["optical"])[:, None] / 255.0
+    mask = (np.stack(images["mask"]) > 127).astype(np.float64)
     return sar, mask, optical

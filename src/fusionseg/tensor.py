@@ -287,30 +287,27 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Te
 # ---------------------------------------------------------------------------
 # structural ops
 
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 4 or b.data.ndim != 4:
+def _concat(tensors, axis: int) -> Tensor:
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return _node(out, tensors, lambda g: tuple(np.split(g, cuts, axis=axis)))
+
+
+def concat_channels(*tensors: Tensor) -> Tensor:
+    """Any number of [B,C_i,H,W] tensors -> [B,sum C_i,H,W], in argument order."""
+    if any(t.data.ndim != 4 for t in tensors):
         raise DimensionError("concat_channels expects 4-d tensors")
-    if a.data.shape[0] != b.data.shape[0] or a.data.shape[2:] != b.data.shape[2:]:
-        raise DimensionError(
-            f"concat_channels batch/spatial mismatch: {a.data.shape} vs {b.data.shape}")
-    c1 = a.data.shape[1]
-    out = np.concatenate([a.data, b.data], axis=1)
-    return _node(out, (a, b), lambda g: (g[:, :c1], g[:, c1:]))
+    if len({(t.data.shape[0],) + t.data.shape[2:] for t in tensors}) != 1:
+        raise DimensionError("concat_channels batch/spatial mismatch: "
+                             + " vs ".join(str(t.data.shape) for t in tensors))
+    return _concat(tensors, 1)
 
 
 def concat_batch(tensors) -> Tensor:
-    tensors = list(tensors)
-    shapes = {t.data.shape[1:] for t in tensors}
-    if len(shapes) != 1:
+    tensors = tuple(tensors)
+    if len({t.data.shape[1:] for t in tensors}) != 1:
         raise DimensionError("concat_batch requires identical trailing extents")
-    sizes = [t.data.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    out = np.concatenate([t.data for t in tensors], axis=0)
-
-    def backward(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-
-    return _node(out, tuple(tensors), backward)
+    return _concat(tensors, 0)
 
 
 def batch_slice(x: Tensor, i: int) -> Tensor:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -33,9 +34,9 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
         1.0 + math.cos(math.pi * frac))
 
 
-def load_generator_from(path, seed=0) -> GeneratorNet:
+def load_generator_from(path) -> GeneratorNet:
     """Rebuild only the SAR-to-optical generator from a GAN pair checkpoint."""
-    g = GeneratorNet(np.random.Generator(np.random.PCG64(seed)))
+    g = GeneratorNet(np.random.Generator(np.random.PCG64(0)))
     load_into_params(path, g.named_params("g_xy"))
     return g
 
@@ -54,13 +55,13 @@ def build_net(config: TrainConfig) -> FusionSegNet:
 
 
 def batch_losses(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray):
-    """Forward plus composite loss for one batch; masks are [B,H,W] in {0,1}."""
+    """(dice, bce, composite) losses of one batch; masks are [B,H,W] in {0,1}."""
     logits = net(Tensor(sar))
     target = Tensor(masks[:, None])
     probs = T.sigmoid(logits)
     dice = dice_loss(probs, target)
     bce = bce_sigmoid_loss(logits, target)
-    return logits, dice, bce, composite_loss(dice, bce)
+    return dice, bce, composite_loss(dice, bce)
 
 
 def predicted_masks(net, sar: np.ndarray, batch_size: int):
@@ -73,8 +74,10 @@ def predicted_masks(net, sar: np.ndarray, batch_size: int):
         # tape off in the caller's code too
         with T.no_grad():
             logits = net(Tensor(sar[start:start + batch_size]))
-        # not logits >= 0: a tiny negative logit rounds to probability 0.5
-        yield start, 1.0 / (1.0 + np.exp(-logits.data[:, 0])) >= 0.5
+        # not logits >= 0: a tiny negative logit rounds to probability 0.5;
+        # clipped as in T.sigmoid, so exp cannot overflow
+        z = np.clip(logits.data[:, 0], -500, 500)
+        yield start, 1.0 / (1.0 + np.exp(-z)) >= 0.5
 
 
 def evaluate(net, sar: np.ndarray, masks: np.ndarray, batch_size: int = 8):
@@ -123,9 +126,8 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
     rng = np.random.Generator(np.random.PCG64(config.seed + 7))
     records = []
     val_inputs = _stitched_split(net, sar_val, config.batch_size)
-    metrics_file = open(metrics_path, "w") if metrics_path else None
     best_fwiou = -1.0
-    try:
+    with open(metrics_path or os.devnull, "w") as metrics_file:
         for epoch in range(config.epochs):
             t0 = time.monotonic()
             lr = lr_schedule(epoch, config)
@@ -134,7 +136,7 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
             n_batches = 0
             for start in range(0, len(order), config.batch_size):
                 idx = order[start:start + config.batch_size]
-                _, dice, bce, comp = batch_losses(
+                dice, bce, comp = batch_losses(
                     net, sar_train[idx], mask_train[idx])
                 if not np.isfinite(comp.item()):
                     raise DomainError(
@@ -158,11 +160,10 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
                 "wall_ms": int(1000 * (time.monotonic() - t0)),
             }
             records.append(record)
-            if metrics_file:
-                # wall_ms stays out of the file so identical runs diff clean
-                persisted = {k: v for k, v in record.items() if k != "wall_ms"}
-                metrics_file.write(json.dumps(persisted, sort_keys=True) + "\n")
-                metrics_file.flush()
+            # wall_ms stays out of the file so identical runs diff clean
+            persisted = {k: v for k, v in record.items() if k != "wall_ms"}
+            metrics_file.write(json.dumps(persisted, sort_keys=True) + "\n")
+            metrics_file.flush()
             if log:
                 log(f"epoch {epoch}: loss={record['train_loss']['composite']:.4f}"
                     f" val_fwiou={record['val_fwiou']}")
@@ -171,9 +172,6 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
             if best_checkpoint_path and val and val["fwiou"] > best_fwiou:
                 best_fwiou = val["fwiou"]
                 net.save(best_checkpoint_path)
-    finally:
-        if metrics_file:
-            metrics_file.close()
     return net, records
 
 

@@ -11,6 +11,7 @@ from fusionseg.cli import main
 from fusionseg.config import TrainConfig, field_types
 from fusionseg.errors import ContractError
 from fusionseg.segnet import AblationConfig
+from fusionseg.synthdata import write_pgm
 from fusionseg.training import build_net, lr_schedule
 
 
@@ -276,6 +277,60 @@ def test_usage_error_is_one_config_line(tmp_path, monkeypatch, capsys, argv,
 def test_help_exits_zero(capsys):
     assert main(["train", "--help"]) == 0
     assert "--epochs" in capsys.readouterr().out
+
+
+def _truncated_manifest(data):
+    path = data / "manifest.json"
+    path.write_text(path.read_text()[:40])
+
+
+def _edit_manifest(edit):
+    def apply(data):
+        path = data / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps(edit(manifest)))
+    return apply
+
+
+def _drop_first_train_optical(manifest):
+    del manifest["splits"]["train"][0]["optical"]
+    return manifest
+
+
+def _int_first_train_mask(manifest):
+    manifest["splits"]["train"][0]["mask"] = 3
+    return manifest
+
+
+def _small_image(name):
+    def apply(data):
+        write_pgm(data / "train" / name, np.zeros((16, 16), dtype=np.uint8))
+    return apply
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_truncated_manifest, "malformed manifest"),
+    (_edit_manifest(lambda m: [m]), "'splits' object"),
+    (_edit_manifest(lambda m: {"image_size": 32}), "'splits' object"),
+    (_edit_manifest(lambda m: {**m, "splits": [1]}), "'splits' object"),
+    (_edit_manifest(lambda m: {**m, "splits": {"train": {}}}), "not a list"),
+    (_edit_manifest(_drop_first_train_optical), "string sar, optical and mask"),
+    (_edit_manifest(_int_first_train_mask), "string sar, optical and mask"),
+    (_small_image("sar_00001.pgm"), "sar_00001.pgm: extent (16, 16)"),
+    (_small_image("mask_00000.pgm"), "mask_00000.pgm: extent (16, 16)"),
+], ids=["truncated_json", "not_an_object", "no_splits", "splits_not_object",
+        "split_not_list", "entry_without_optical", "non_string_path",
+        "small_second_sar", "small_first_mask"])
+def test_bad_dataset_is_one_io_line(tiny_data, tmp_path, capsys, corrupt,
+                                    message):
+    corrupt(tiny_data)
+    rc = main(["pretrain-gan", "--data-dir", str(tiny_data),
+               "--gan-checkpoint", str(tmp_path / "gan.ckpt"),
+               "--gan-iterations", "1", "--gan-batch-size", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:io:") and ONE_ERROR_LINE.fullmatch(err)
+    assert message in err
 
 
 COMMANDS = ("gen-data", "pretrain-gan", "train", "ablate", "eval",

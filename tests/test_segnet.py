@@ -40,7 +40,7 @@ class TestStitch:
 
     def test_combine_requires_gan(self):
         with pytest.raises(ConfigurationError):
-            AblationConfig(False, False, True).validate()
+            AblationConfig(False, False, True)
 
     def test_no_gradient_reaches_generator(self):
         gen = make_generator(3)
@@ -96,6 +96,35 @@ class TestAspp:
     def test_empty_rates_rejected(self):
         with pytest.raises(ConfigurationError):
             Aspp(3, 4, (), np.random.default_rng(14))
+
+    def test_one_concat_matches_pairwise_concats_bitwise(self):
+        aspp = Aspp(3, 4, (1, 2, 4), np.random.default_rng(15))
+        data = np.random.default_rng(16).random((2, 3, 8, 8))
+        weights = Tensor(np.random.default_rng(17).random((2, 4, 8, 8)))
+
+        def pairwise(x):
+            branches = [aspp.one(x)] + [a(x) for a in aspp.atrous]
+            pooled = T.relu(aspp.pool(T.spatial_mean(x)))
+            branches.append(T.tile_spatial(pooled, 8, 8))
+            merged = branches[0]
+            for b in branches[1:]:
+                merged = T.concat_channels(merged, b)
+            return aspp.fuse(merged)
+
+        def run(forward):
+            x = Tensor(data.copy(), requires_grad=True)
+            out = forward(x)
+            T.reduce_sum(T.mul(out, weights)).backward()
+            grads = [p.grad for _, p in aspp.named_params()]
+            for _, p in aspp.named_params():
+                p.grad = None
+            return out.data, x.grad, grads
+
+        out, dx, grads = run(aspp)
+        ref_out, ref_dx, ref_grads = run(pairwise)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(dx, ref_dx)
+        assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
 
 
 class TestForward:

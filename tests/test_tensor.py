@@ -224,6 +224,27 @@ class TestConcatChannels:
             T.concat_channels(Tensor(np.zeros((1, 1, 32, 32))),
                               Tensor(np.zeros((1, 1, 64, 64))))
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_three_unequal_widths_grad(self, position):
+        rng = np.random.default_rng(5)
+        parts = [Tensor(rng.random((2, c, 3, 3))) for c in (1, 3, 2)]
+        w = Tensor(rng.random((2, 6, 3, 3)))
+
+        def f(x):
+            inputs = parts[:position] + [x] + parts[position + 1:]
+            return T.reduce_sum(T.mul(T.concat_channels(*inputs), w))
+
+        x = Tensor(parts[position].data.copy(), requires_grad=True)
+        assert grad_check(f, x) < 1e-6
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 1, 4, 4), (2, 2, 4, 4), (1, 1, 4, 4)),
+        ((2, 1, 4, 4), (2, 2, 4, 2), (2, 1, 4, 4)),
+    ], ids=["batch", "spatial"])
+    def test_three_input_mismatch(self, shapes):
+        with pytest.raises(DimensionError):
+            T.concat_channels(*(Tensor(np.zeros(s)) for s in shapes))
+
 
 class TestElementwise:
     def test_sigmoid_zero(self):

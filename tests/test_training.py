@@ -84,3 +84,20 @@ def test_evaluate_holds_far_less_than_a_taped_forward():
     # measured at 64 px: 49.6 MB with the tape, 19.5 MB without
     taped = peak(lambda: net(Tensor(sar)))
     assert peak(lambda: evaluate(net, sar, masks, 8)) < 0.5 * taped
+
+
+def test_evaluate_thresholds_extreme_logits_without_overflow():
+    # exp(800) overflows float64; a RuntimeWarning fails the test suite
+    rng = np.random.default_rng(1)
+    sar = rng.random((3, 1, 4, 4))
+    masks = (rng.random((3, 4, 4)) > 0.5).astype(np.float64)
+
+    def stub(x):
+        return Tensor(np.where(x.data > 0.5, 800.0, -800.0))
+
+    report = evaluate(stub, sar, masks, batch_size=2)
+    pred = (sar[:, 0] > 0.5).astype(np.int64).ravel()
+    true = masks.astype(np.int64).ravel()
+    expected = [[int(np.sum((true == t) & (pred == p))) for p in (0, 1)]
+                for t in (0, 1)]
+    assert report["confusion"] == expected
