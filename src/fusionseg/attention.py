@@ -19,7 +19,7 @@ from .tensor import Tensor
 class ExternalAttention(Module):
     """Learnable key-memory and value-memory, both [S, d]."""
 
-    def __init__(self, s=16, d=8, rng=None):
+    def __init__(self, s, d, rng=None):
         if s < 1 or d < 1:
             raise DimensionError("memory units and feature dim must be >= 1")
         self.d = d
@@ -49,7 +49,7 @@ def external_attention_forward(att: ExternalAttention, f: Tensor) -> Tensor:
 class AttentionStage(Module):
     """Pointwise lift, external attention with residual, pointwise reduce."""
 
-    def __init__(self, c_in, d, c_out, s=16, rng=None):
+    def __init__(self, c_in, d, c_out, s, rng=None):
         self.lift = Conv2d(c_in, d, 1, rng=rng)
         self.att = ExternalAttention(s=s, d=d, rng=rng)
         self.reduce = Conv2d(d, c_out, 1, rng=rng)

@@ -63,9 +63,9 @@ def _build_config(args) -> TrainConfig:
 
 
 def cmd_gen_data(config, args):
-    spec = SceneSpec(image_size=config.image_size, seed=config.seed)
-    manifest = make_dataset(spec, config.data_dir, config.n_train,
-                            config.n_val, config.n_test, config.seed)
+    manifest = make_dataset(SceneSpec(image_size=config.image_size),
+                            config.data_dir, config.n_train, config.n_val,
+                            config.n_test, config.seed)
     counts = {k: len(v) for k, v in manifest["splits"].items()}
     _log(f"dataset written to {config.data_dir}: {counts}")
 

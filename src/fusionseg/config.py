@@ -38,7 +38,7 @@ class TrainConfig:
     n_val: int = 40
     n_test: int = 40
 
-    def validate(self):
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if type(value) is float and not math.isfinite(value):
@@ -67,9 +67,7 @@ class TrainConfig:
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = _checked(cls, d, "config")
         abl = _checked(AblationConfig, d.pop("ablation", {}), "ablation")
-        cfg = cls(**d, ablation=AblationConfig(**abl))
-        cfg.validate()
-        return cfg
+        return cls(**d, ablation=AblationConfig(**abl))
 
     @classmethod
     def from_json_file(cls, path) -> "TrainConfig":

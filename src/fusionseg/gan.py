@@ -33,6 +33,8 @@ class ResidualBlock(Module):
 class GeneratorNet(Module):
     """Encoder-residual-decoder mapping [B,1,H,W] -> [B,1,H,W] in [0,1].
 
+    It halves H and W twice, then doubles them twice: both must divide by 4.
+
     The final conv is zero-initialized, so an untrained generator outputs a
     constant 0.5 everywhere.
     """
@@ -49,6 +51,10 @@ class GeneratorNet(Module):
     def __call__(self, x):
         if x.data.ndim != 4 or x.data.shape[1] != 1:
             raise DimensionError("generator expects a [B,1,H,W] input")
+        height, width = x.data.shape[2:]
+        if height % 4 or width % 4:
+            raise DimensionError("generator needs H and W divisible by 4, "
+                                 f"got H={height}, W={width}")
         h = self.down2(self.down1(x))
         h = self.res2(self.res1(h))
         h = self.up1(T.upsample_nearest(h, 2))

@@ -1,4 +1,4 @@
-"""Confusion matrices, per-class IoU and frequency-weighted IoU."""
+"""Confusion counts as [k,k] int64 arrays, per-class IoU and frequency-weighted IoU."""
 
 from __future__ import annotations
 
@@ -7,28 +7,8 @@ import numpy as np
 from .errors import DimensionError, DomainError
 
 
-class ConfusionMatrix:
-    """K x K counts, rows = ground truth class, columns = prediction."""
-
-    def __init__(self, k: int, counts=None):
-        if k < 1:
-            raise DomainError("class count must be >= 1")
-        self.k = k
-        self.counts = (np.zeros((k, k), dtype=np.int64) if counts is None
-                       else np.asarray(counts, dtype=np.int64))
-        if self.counts.shape != (k, k):
-            raise DimensionError(f"counts must be {k}x{k}")
-
-    def __add__(self, other):
-        if self.k != other.k:
-            raise DimensionError("cannot add matrices with different class counts")
-        return ConfusionMatrix(self.k, self.counts + other.counts)
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion_matrix(pred_mask, true_mask, k: int) -> ConfusionMatrix:
+def confusion_matrix(pred_mask, true_mask, k: int) -> np.ndarray:
+    """[k,k] int64 counts, rows = ground truth class, columns = prediction."""
     pred = np.asarray(pred_mask)
     true = np.asarray(true_mask)
     if pred.shape != true.shape:
@@ -37,27 +17,26 @@ def confusion_matrix(pred_mask, true_mask, k: int) -> ConfusionMatrix:
     t = true.ravel().astype(np.int64)
     if p.size and (p.min() < 0 or p.max() >= k or t.min() < 0 or t.max() >= k):
         raise DomainError(f"class values must lie in [0,{k})")
-    counts = np.bincount(k * t + p, minlength=k * k).reshape(k, k)
-    return ConfusionMatrix(k, counts)
+    return np.bincount(k * t + p, minlength=k * k).reshape(k, k)
 
 
-def iou_per_class(cm: ConfusionMatrix) -> np.ndarray:
-    tp = np.diag(cm.counts).astype(np.float64)
-    truth = cm.counts.sum(axis=1).astype(np.float64)
-    pred = cm.counts.sum(axis=0).astype(np.float64)
+def iou_per_class(counts: np.ndarray) -> np.ndarray:
+    tp = np.diag(counts).astype(np.float64)
+    truth = counts.sum(axis=1).astype(np.float64)
+    pred = counts.sum(axis=0).astype(np.float64)
     union = truth + pred - tp
-    iou = np.ones(cm.k)  # class absent from both truth and prediction: 1
+    iou = np.ones(len(counts))  # class absent from both truth and prediction: 1
     present = union > 0
     iou[present] = tp[present] / union[present]
     return iou
 
 
-def fwiou(cm: ConfusionMatrix) -> float:
+def fwiou(counts: np.ndarray) -> float:
     """Per-class IoU weighted by ground-truth pixel frequency."""
-    total = cm.total()
+    total = int(counts.sum())
     if total == 0:
         raise DomainError("fwiou of an empty confusion matrix")
-    truth = cm.counts.sum(axis=1).astype(np.float64)
-    iou = iou_per_class(cm)
+    truth = counts.sum(axis=1).astype(np.float64)
+    iou = iou_per_class(counts)
     weights = truth / total
     return float(np.sum(np.where(truth > 0, weights * iou, 0.0)))

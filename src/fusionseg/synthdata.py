@@ -71,63 +71,62 @@ def quantize_u8(image01) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # scene generation
 
+FARM_COUNT_RANGE = (1, 3)
+FARM_CELL_SIZE_RANGE = (8, 16)
+# farm geometry, cells and gaps, snaps to this lattice; the decoder emits
+# stride-4 logits, so a 4 px lattice keeps the task representable at desk scale
+ALIGNMENT = 4
+GRID_GAP = 4
+OPTICAL_FOREGROUND = 0.8
+OPTICAL_BACKGROUND = 0.2
+OPTICAL_NOISE_SIGMA = 0.05
+SPECKLE_LOOKS = 4
+
+
 @dataclass
 class SceneSpec:
     image_size: int = 64
-    farm_count_range: tuple = (1, 3)
-    farm_cell_size_range: tuple = (8, 16)
-    grid_gap: int = 4
-    # farm geometry snaps to this lattice; the decoder emits stride-4 logits,
-    # so a 4 px lattice keeps the task representable at desk scale
-    alignment: int = 4
-    optical_foreground: float = 0.8
-    optical_background: float = 0.2
-    optical_noise_sigma: float = 0.05
-    speckle_looks: int = 4
+    # read nowhere: make_dataset's own seed argument seeds the data
     seed: int = 0
 
-    def validate(self):
-        if self.image_size % 16 != 0:
-            raise ConfigurationError("image_size must be divisible by 16")
-        if not (0.0 <= self.optical_background <= 1.0
-                and 0.0 <= self.optical_foreground <= 1.0):
-            raise ConfigurationError("intensity means must lie in [0,1]")
-        if self.speckle_looks < 1:
-            raise ConfigurationError("speckle_looks must be >= 1")
-        if self.farm_cell_size_range[1] >= self.image_size:
-            raise ConfigurationError("farm cell size must be below image size")
+    def __post_init__(self):
+        cell = FARM_CELL_SIZE_RANGE[1]
+        if self.image_size % 16 or self.image_size <= cell:
+            raise ConfigurationError(f"image_size must be a multiple of 16 above {cell}, "
+                                     f"the largest farm cell; got {self.image_size}")
 
 
 def gen_label_mask(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     """Axis-aligned rectangular farm grids; farms 255, background 0."""
-    spec.validate()
     n = spec.image_size
-    a = max(1, spec.alignment)
     mask = np.zeros((n, n), dtype=np.uint8)
-    lo, hi = spec.farm_count_range
-    gap = max(a, (spec.grid_gap // a) * a)
 
     def snapped(low, high):
-        return a * int(rng.integers(low // a, high // a + 1))
+        return ALIGNMENT * int(rng.integers(low // ALIGNMENT, high // ALIGNMENT + 1))
 
+    lo, hi = FARM_COUNT_RANGE
     for _ in range(int(rng.integers(lo, hi + 1))):
         rows = int(rng.integers(1, 4))
         cols = int(rng.integers(1, 4))
-        ch = snapped(*spec.farm_cell_size_range)
-        cw = snapped(*spec.farm_cell_size_range)
+        ch = snapped(*FARM_CELL_SIZE_RANGE)
+        cw = snapped(*FARM_CELL_SIZE_RANGE)
         top = snapped(0, n - 1)
         left = snapped(0, n - 1)
         for r in range(rows):
             for c in range(cols):
-                y0 = top + r * (ch + gap)
-                x0 = left + c * (cw + gap)
+                y0 = top + r * (ch + GRID_GAP)
+                x0 = left + c * (cw + GRID_GAP)
                 mask[y0:y0 + ch, x0:x0 + cw] = 255  # numpy slicing clips to bounds
     return mask
 
 
-def render_optical(mask, spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
-    base = np.where(mask > 0, spec.optical_foreground, spec.optical_background)
-    noisy = base + rng.normal(0.0, spec.optical_noise_sigma, size=base.shape)
+def reflectivity(mask) -> np.ndarray:
+    """The noiseless scene both sensors see: foreground and background levels."""
+    return np.where(mask > 0, OPTICAL_FOREGROUND, OPTICAL_BACKGROUND)
+
+
+def render_optical(mask, rng: np.random.Generator) -> np.ndarray:
+    noisy = reflectivity(mask) + rng.normal(0.0, OPTICAL_NOISE_SIGMA, size=mask.shape)
     return np.clip(noisy, 0.0, 1.0)
 
 
@@ -137,10 +136,8 @@ def sample_speckle(shape, looks: int, rng: np.random.Generator) -> np.ndarray:
     return draws.mean(axis=0)
 
 
-def render_sar(mask, spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
-    reflectivity = np.where(mask > 0, spec.optical_foreground,
-                            spec.optical_background)
-    speckled = reflectivity * sample_speckle(mask.shape, spec.speckle_looks, rng)
+def render_sar(mask, rng: np.random.Generator) -> np.ndarray:
+    speckled = reflectivity(mask) * sample_speckle(mask.shape, SPECKLE_LOOKS, rng)
     return np.clip(speckled, 0.0, 1.0)
 
 
@@ -148,8 +145,8 @@ def generate_sample(spec: SceneSpec, sample_seed: int):
     """One (sar, optical, mask) triple from its own derived seed."""
     rng = np.random.Generator(np.random.PCG64(sample_seed))
     mask = gen_label_mask(spec, rng)
-    optical = render_optical(mask, spec, rng)
-    sar = render_sar(mask, spec, rng)
+    optical = render_optical(mask, rng)
+    sar = render_sar(mask, rng)
     return sar, optical, mask
 
 

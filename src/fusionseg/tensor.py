@@ -228,6 +228,9 @@ def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalizations
 
+BATCHNORM_EPS = 1e-5  # added to the batch variance before its square root
+
+
 def softmax_axis(x: Tensor, axis: int) -> Tensor:
     if not -x.data.ndim <= axis < x.data.ndim:
         raise DimensionError(f"axis {axis} invalid for shape {x.data.shape}")
@@ -257,7 +260,7 @@ def l1_normalize_axis(x: Tensor, axis: int, eps: float = 1e-9) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-channel normalization using the current batch statistics."""
     if x.data.ndim != 4:
         raise DimensionError("batchnorm2d expects a 4-d tensor")
@@ -268,7 +271,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Te
     n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
     mu = x.data.mean(axis=axes, keepdims=True)
     var = x.data.var(axis=axes, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BATCHNORM_EPS)
     xhat = (x.data - mu) * inv_std
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 

@@ -17,7 +17,7 @@ from .errors import ConfigurationError, ContractError, DomainError
 from .gan import GeneratorNet
 from .checkpoint import load_into_params
 from .losses import bce_sigmoid_loss, composite_loss, dice_loss
-from .metrics import ConfusionMatrix, confusion_matrix, fwiou, iou_per_class
+from .metrics import confusion_matrix, fwiou, iou_per_class
 from .segnet import AblationConfig, FusionSegNet
 from .synthdata import load_split, quantize_u8, write_pgm
 from .tensor import AdamW, Tensor
@@ -74,10 +74,8 @@ def predicted_masks(net, sar: np.ndarray, batch_size: int):
         # tape off in the caller's code too
         with T.no_grad():
             logits = net(Tensor(sar[start:start + batch_size]))
-        # not logits >= 0: a tiny negative logit rounds to probability 0.5;
-        # clipped as in T.sigmoid, so exp cannot overflow
-        z = np.clip(logits.data[:, 0], -500, 500)
-        yield start, 1.0 / (1.0 + np.exp(-z)) >= 0.5
+        # not logits >= 0: a tiny negative logit rounds to probability 0.5
+        yield start, T.sigmoid(logits).data[:, 0] >= 0.5
 
 
 def evaluate(net, sar: np.ndarray, masks: np.ndarray, batch_size: int = 8):
@@ -88,13 +86,14 @@ def evaluate(net, sar: np.ndarray, masks: np.ndarray, batch_size: int = 8):
     """
     if len(sar) == 0:
         raise DomainError("cannot evaluate an empty split")
-    cm = ConfusionMatrix(2)
+    counts = np.zeros((2, 2), dtype=np.int64)
     for start, fg in predicted_masks(net, sar, batch_size):
         true = masks[start:start + batch_size].astype(np.int64)
-        cm = cm + confusion_matrix(fg.astype(np.int64), true, 2)
-    return {"fwiou": fwiou(cm), "fwiou_percent": 100.0 * fwiou(cm),
-            "iou_per_class": [float(v) for v in iou_per_class(cm)],
-            "confusion": cm.counts.tolist()}
+        counts += confusion_matrix(fg.astype(np.int64), true, 2)
+    score = fwiou(counts)
+    return {"fwiou": score, "fwiou_percent": 100.0 * score,
+            "iou_per_class": [float(v) for v in iou_per_class(counts)],
+            "confusion": counts.tolist()}
 
 
 def _stitched_split(net: FusionSegNet, sar: np.ndarray, batch_size: int):
@@ -116,7 +115,6 @@ def _stitched_split(net: FusionSegNet, sar: np.ndarray, batch_size: int):
 def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
           best_checkpoint_path=None, log=print):
     """Full segmentation training run; returns (net, metrics records)."""
-    config.validate()
     sar_train, mask_train, _ = load_split(config.data_dir, "train")
     sar_val, mask_val, _ = load_split(config.data_dir, "val")
     if len(sar_train) == 0:

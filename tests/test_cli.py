@@ -62,6 +62,17 @@ class TestGenData:
             assert ((tmp_path / "a" / rel).read_bytes()
                     == (tmp_path / "b" / rel).read_bytes())
 
+    @pytest.mark.parametrize("n_train", ["0", "2"])
+    def test_bad_image_size_writes_nothing(self, tmp_path, capsys, n_train):
+        data = tmp_path / "data"
+        rc = main(["gen-data", "--data-dir", str(data), "--image-size", "40",
+                   "--n-train", n_train, "--n-val", "0", "--n-test", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and ONE_ERROR_LINE.fullmatch(err)
+        assert "image_size" in err
+        assert not data.exists()
+
 
 class TestPretrainGanCmd:
     def test_zero_iterations_and_log(self, tiny_data, tmp_path):
@@ -82,6 +93,24 @@ class TestPretrainGanCmd:
         lines = (tmp_path / "gan.losses.jsonl").read_text().splitlines()
         assert len(lines) == 3
         assert {"iteration", "cycle_x"} <= set(json.loads(lines[0]))
+
+    def test_extent_not_divisible_by_four_is_dimension_error(self, tmp_path,
+                                                              capsys):
+        data = tmp_path / "data"
+        (data / "train").mkdir(parents=True)
+        entry = {kind: f"train/{kind}_00000.pgm"
+                 for kind in ("sar", "optical", "mask")}
+        for rel in entry.values():
+            write_pgm(data / rel, np.zeros((6, 6), dtype=np.uint8))
+        (data / "manifest.json").write_text(json.dumps(
+            {"image_size": 6, "splits": {"train": [entry], "val": [], "test": []}}))
+        rc = main(["pretrain-gan", "--data-dir", str(data),
+                   "--gan-checkpoint", str(tmp_path / "gan.ckpt"),
+                   "--gan-iterations", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:dimension:") and ONE_ERROR_LINE.fullmatch(err)
+        assert "divisible by 4" in err and "H=6, W=6" in err
 
 
 class TestTrainCmd:
@@ -258,7 +287,7 @@ ONE_ERROR_LINE = re.compile(r"error:[a-z]+: [^\n]*\n")
     (["eval"], "required: --checkpoint"),
     (["bogus"], "invalid choice"),
     ([], "required: command"),
-    # exponent-notation negatives reach TrainConfig.validate
+    # exponent-notation negatives reach the TrainConfig checks
     (["pretrain-gan", "--gan-lr", "-5e-4"], "gan_lr, weight_decay"),
     (["train", "--weight-decay", "-5e-4"], "gan_lr, weight_decay"),
     (["train", "--lambda-cyc", "-1E+1"], "gan_lr, weight_decay"),

@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,3 +49,8 @@ def test_from_dict_gives_valid_config_or_config_error(known, junk, add_junk):
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         assert type(value) is not float or math.isfinite(value), f.name
+
+
+def test_checked_when_built():
+    with pytest.raises(ConfigurationError):
+        TrainConfig(seed=-1)

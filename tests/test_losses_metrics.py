@@ -5,8 +5,7 @@ import pytest
 
 from fusionseg.errors import DimensionError, DomainError
 from fusionseg.losses import bce_sigmoid_loss, composite_loss, dice_loss
-from fusionseg.metrics import (ConfusionMatrix, confusion_matrix, fwiou,
-                               iou_per_class)
+from fusionseg.metrics import confusion_matrix, fwiou, iou_per_class
 from fusionseg.tensor import Tensor, grad_check
 
 
@@ -99,15 +98,16 @@ class TestConfusionMatrix:
     def test_perfect_is_diagonal(self):
         m = np.array([[0, 1], [1, 0]])
         cm = confusion_matrix(m, m, 2)
-        assert np.array_equal(cm.counts, [[2, 0], [0, 2]])
+        assert cm.dtype == np.int64
+        assert np.array_equal(cm, [[2, 0], [0, 2]])
 
     def test_worked_example(self):
         cm = confusion_matrix([1, 0, 0, 0], [1, 1, 0, 0], 2)
-        assert np.array_equal(cm.counts, [[2, 0], [1, 1]])
+        assert np.array_equal(cm, [[2, 0], [1, 1]])
 
     def test_empty(self):
         cm = confusion_matrix(np.zeros((0,)), np.zeros((0,)), 2)
-        assert cm.total() == 0
+        assert cm.shape == (2, 2) and cm.sum() == 0
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
@@ -120,7 +120,7 @@ class TestConfusionMatrix:
         merged = confusion_matrix(np.concatenate([a_p, b_p]),
                                   np.concatenate([a_t, b_t]), 2)
         summed = confusion_matrix(a_p, a_t, 2) + confusion_matrix(b_p, b_t, 2)
-        assert np.array_equal(merged.counts, summed.counts)
+        assert np.array_equal(merged, summed)
 
 
 def brute_force_fwiou(pred, true):
@@ -145,7 +145,7 @@ class TestFwiou:
         assert fwiou(confusion_matrix(m, m, 2)) == 1.0
 
     def test_worked_example(self):
-        cm = ConfusionMatrix(2, [[2, 0], [1, 1]])
+        cm = np.array([[2, 0], [1, 1]])
         assert fwiou(cm) == pytest.approx(7 / 12, abs=1e-12)
 
     def test_everything_wrong(self):
@@ -155,7 +155,7 @@ class TestFwiou:
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            fwiou(ConfusionMatrix(2))
+            fwiou(np.zeros((2, 2), dtype=np.int64))
 
     def test_against_brute_force_oracle(self):
         rng = np.random.default_rng(5)
@@ -182,7 +182,7 @@ class TestIouPerClass:
         assert np.allclose(iou_per_class(confusion_matrix(m, m, 2)), 1.0)
 
     def test_worked_example(self):
-        cm = ConfusionMatrix(2, [[2, 0], [1, 1]])
+        cm = np.array([[2, 0], [1, 1]])
         assert np.allclose(iou_per_class(cm), [2 / 3, 1 / 2])
 
     def test_absent_class_convention(self):

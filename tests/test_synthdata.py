@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fusionseg.errors import ConfigurationError, IOError_
-from fusionseg.synthdata import (SceneSpec, gen_label_mask,
+from fusionseg.synthdata import (OPTICAL_FOREGROUND, SceneSpec, gen_label_mask,
                                  load_split, make_dataset, quantize_u8,
                                  read_pgm, render_optical, render_sar,
                                  sample_speckle, write_pgm)
@@ -17,10 +18,6 @@ def rng_for(seed):
 
 
 class TestMask:
-    def test_no_farms(self):
-        spec = SceneSpec(farm_count_range=(0, 0))
-        assert np.all(gen_label_mask(spec, rng_for(0)) == 0)
-
     def test_two_valued(self):
         spec = SceneSpec()
         for seed in range(10):
@@ -34,30 +31,22 @@ class TestMask:
         assert np.array_equal(a, b)
 
     def test_oversized_cells_rejected(self):
-        spec = SceneSpec(image_size=32, farm_cell_size_range=(8, 40))
-        with pytest.raises(ConfigurationError):
-            gen_label_mask(spec, rng_for(0))
+        # a scene must be a multiple of 16 above the largest farm cell, 16 px
+        for size in (0, 16, 40, -32):
+            with pytest.raises(ConfigurationError):
+                SceneSpec(image_size=size)
 
 
 class TestOptical:
-    def test_noiseless_two_levels(self):
-        spec = SceneSpec(optical_noise_sigma=0.0)
-        mask = gen_label_mask(spec, rng_for(1))
-        img = render_optical(mask, spec, rng_for(2))
-        assert set(np.unique(img)) <= {spec.optical_background,
-                                       spec.optical_foreground}
-
     def test_clamped(self):
-        spec = SceneSpec(optical_noise_sigma=0.5)
-        mask = gen_label_mask(spec, rng_for(3))
-        img = render_optical(mask, spec, rng_for(4))
+        mask = gen_label_mask(SceneSpec(), rng_for(3))
+        img = render_optical(mask, rng_for(4))
         assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_foreground_mean(self):
-        spec = SceneSpec(optical_foreground=0.7)
         mask = np.full((64, 64), 255, dtype=np.uint8)
-        img = render_optical(mask, spec, rng_for(5))
-        assert abs(img.mean() - 0.7) < 0.02
+        img = render_optical(mask, rng_for(5))
+        assert abs(img.mean() - OPTICAL_FOREGROUND) < 0.02
 
 
 class TestSpeckle:
@@ -84,7 +73,7 @@ class TestSpeckle:
     def test_sar_in_unit_interval(self):
         spec = SceneSpec()
         mask = gen_label_mask(spec, rng_for(10))
-        img = render_sar(mask, spec, rng_for(11))
+        img = render_sar(mask, rng_for(11))
         assert img.min() >= 0.0 and img.max() <= 1.0
 
 
@@ -160,3 +149,16 @@ class TestMakeDataset:
         make_dataset(SceneSpec(), tmp_path, 2, 0, 0, seed=9)
         sar, _, _ = load_split(tmp_path, "train")
         assert not np.array_equal(sar[0], sar[1])
+
+    def test_bytes_pinned(self, tmp_path):
+        # sha256 over the sorted relative path and bytes of every file written;
+        # computed with numpy 2.4.6; a change to its samplers would move it
+        make_dataset(SceneSpec(image_size=32), tmp_path, 3, 2, 2, seed=11)
+        digest = hashlib.sha256()
+        files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        for path in files:
+            digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0"
+                          + path.read_bytes())
+        assert len(files) == 1 + 3 * 7  # the manifest and 7 PGM triples
+        assert digest.hexdigest() == (
+            "53549f692a2265f3dde91886f431c3c5aef14e0a42cbd9b6a82b71be0652d522")
