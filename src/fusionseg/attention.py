@@ -1,9 +1,11 @@
-"""External attention over pixel-feature matrices.
+"""External attention over pixel-feature matrices, pixels last.
 
-The attention map is computed against small learnable key/value memories
-shared across the dataset, so its footprint is N x S (linear in pixel count),
-never N x N. Normalization is a column softmax over pixels followed by a row
-L1 normalization over memory units.
+Features are ``[..., d, N]``, which is NCHW memory viewed as
+``[B, channels, pixels]``, so the stage needs no transposes. The attention
+map is computed against small learnable key/value memories shared across
+the dataset, so its footprint is S x N (linear in pixel count), never N x N.
+Normalization is a softmax over pixels followed by an L1 normalization over
+memory units.
 """
 
 from __future__ import annotations
@@ -29,21 +31,21 @@ class ExternalAttention(Module):
 
 
 def double_normalize(a: Tensor) -> Tensor:
-    """Column softmax over pixels, then row L1 norm over memory units; [..., N,S]."""
+    """Softmax over pixels (last axis), then L1 norm over memory units; [..., S,N]."""
     if a.data.ndim < 2:
-        raise DimensionError("double_normalize expects an [..., N,S] tensor")
+        raise DimensionError("double_normalize expects an [..., S,N] tensor")
     # softmax output is strictly positive, so the L1 guard can be tiny;
-    # this keeps row sums within 1e-9 of 1 even for a single memory unit
-    return T.l1_normalize_axis(T.softmax_axis(a, axis=-2), axis=-1, eps=1e-300)
+    # this keeps sums over S within 1e-9 of 1 even for a single memory unit
+    return T.l1_normalize_axis(T.softmax_axis(a, axis=-1), axis=-2, eps=1e-300)
 
 
 def external_attention_forward(att: ExternalAttention, f: Tensor) -> Tensor:
-    """Refined features [..., N,d]: double-normalized (F . M_k^T) applied to M_v."""
-    if f.data.ndim < 2 or f.data.shape[-1] != att.d:
+    """Refined features [..., d,N]: M_v^T applied to double-normalized (M_k . F)."""
+    if f.data.ndim < 2 or f.data.shape[-2] != att.d:
         raise DimensionError(
             f"feature dim mismatch: {f.data.shape} vs d={att.d}")
-    weights = double_normalize(T.matmul(f, T.transpose2d(att.m_k)))
-    return T.matmul(weights, att.m_v)
+    weights = double_normalize(T.matmul(att.m_k, f))
+    return T.matmul(T.transpose2d(att.m_v), weights)
 
 
 class AttentionStage(Module):
@@ -57,7 +59,7 @@ class AttentionStage(Module):
     def __call__(self, x: Tensor) -> Tensor:
         b, _, h, w = x.data.shape
         d = self.att.d
-        # [B,d,H,W] -> [B,N,d]: every image attends over its own pixels
-        f = T.transpose2d(T.reshape(self.lift(x), (b, d, h * w)))
+        # [B,d,H,W] -> [B,d,N]: every image attends over its own pixels
+        f = T.reshape(self.lift(x), (b, d, h * w))
         refined = T.add(external_attention_forward(self.att, f), f)
-        return self.reduce(T.reshape(T.transpose2d(refined), (b, d, h, w)))
+        return self.reduce(T.reshape(refined, (b, d, h, w)))

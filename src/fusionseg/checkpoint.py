@@ -13,17 +13,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IOError_
+from .errors import ContractError, IOError_
 
 MAGIC = b"DFSG"
 VERSION = 1
 
 
 def save_checkpoint(path, named_arrays) -> None:
-    """named_arrays: ordered iterable of (name, ndarray)."""
+    """named_arrays: ordered iterable of (name, ndarray), each name once."""
     items = [(name, np.asarray(arr, dtype=np.float64)) for name, arr in named_arrays]
     chunks = [MAGIC, struct.pack("<HI", VERSION, len(items))]
+    seen = set()
     for name, arr in items:
+        if name in seen:
+            raise ContractError(f"checkpoint tensor name '{name}' repeated")
+        seen.add(name)
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
@@ -64,6 +68,8 @@ def load_checkpoint(path):
             name = str(take(name_len), "utf-8")
         except UnicodeDecodeError as e:
             raise IOError_(f"{path}: tensor name is not UTF-8: {e}") from e
+        if name in out:
+            raise IOError_(f"{path}: repeated tensor '{name}'")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         values = take(8 * math.prod(shape))

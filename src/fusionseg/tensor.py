@@ -117,15 +117,23 @@ def as_tensor(x):
 # linear algebra
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """[..., n, k] x [k, m]; a shared right operand gets the batch-summed grad."""
-    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
+    """[..., n, k] x [k, m] or [n, k] x [..., k, m].
+
+    At least one operand is 2-d; it is shared by the batch of the other and
+    gets the batch-summed gradient.
+    """
+    if (min(a.data.ndim, b.data.ndim) != 2
+            or a.data.shape[-1] != b.data.shape[-2]):
         raise DimensionError(
             f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
     out = a.data @ b.data
 
     def backward(g):
-        k, m = b.data.shape
-        return (g @ b.data.T, a.data.reshape(-1, k).T @ g.reshape(-1, m))
+        if b.data.ndim == 2:
+            k, m = b.data.shape
+            return (g @ b.data.T, a.data.reshape(-1, k).T @ g.reshape(-1, m))
+        da = g @ np.swapaxes(b.data, -1, -2)
+        return (da.reshape(-1, *a.data.shape).sum(axis=0), a.data.T @ g)
 
     return _node(out, (a, b), backward)
 
@@ -171,6 +179,10 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
     tape keeps that copy only when it is padded. Unpadded, it holds the same
     values as ``x.data``, so backward rebuilds it instead and the tape holds
     no second copy of the input.
+
+    An unstrided, unpadded 1x1 conv copies nothing: NCHW viewed as
+    ``[B,C,H*W]`` is one ``[O,C] x [B,C,H*W]`` ``matmul``, whose tape gives
+    the gradients.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects 4-d input and weight")
@@ -190,6 +202,9 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
             f"conv2d output extent nonpositive for input {h}x{wd}, "
             f"k={k}, stride={stride}, dilation={dilation}, padding={padding}")
 
+    if k == 1 and stride == 1 and padding == 0:
+        return reshape(matmul(reshape(w, (cout, cin)),
+                              reshape(x, (b, cin, h * wd))), (b, cout, h, wd))
     # one shifted window of the channels-last padded input per tap (i, j)
     taps = [(i, j, (slice(None),
                     slice(i * dilation, i * dilation + stride * (hout - 1) + 1, stride),

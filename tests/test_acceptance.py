@@ -100,7 +100,7 @@ def test_criterion_1_gradient_suite():
     def att_fn(leaf):
         att = ExternalAttention(3, 2, rng=rng)
         att.m_k, att.m_v = leaf, Tensor(rng.normal(size=(3, 2)))
-        f = Tensor(rng.normal(size=(4, 2)))
+        f = Tensor(rng.normal(size=(2, 4)))
         return lambda t: sq_sum(external_attention_forward(att, f))
     check("attention", att_fn, lambda: t_rand(3, 2))
 
@@ -190,22 +190,22 @@ def test_criterion_4_attention_properties():
     perm_dev = 0.0
     for _ in range(50):
         n, s = int(rng.integers(2, 10)), int(rng.integers(1, 8))
-        a = rng.normal(size=(n, s)) * 10
+        a = rng.normal(size=(s, n)) * 10
         out = double_normalize(Tensor(a)).data
-        row_dev = max(row_dev, float(np.abs(out.sum(axis=1) - 1).max()))
+        row_dev = max(row_dev, float(np.abs(out.sum(axis=0) - 1).max()))
         assert np.all(out >= 0)
         perm = rng.permutation(n)
-        out_p = double_normalize(Tensor(a[perm])).data
-        perm_dev = max(perm_dev, float(np.abs(out[perm] - out_p).max()))
+        out_p = double_normalize(Tensor(a[:, perm])).data
+        perm_dev = max(perm_dev, float(np.abs(out[:, perm] - out_p).max()))
         att = ExternalAttention(s, 3, rng=rng)
-        f = rng.normal(size=(n, 3))
+        f = rng.normal(size=(3, n))
         ea = external_attention_forward(att, Tensor(f)).data
-        ea_p = external_attention_forward(att, Tensor(f[perm])).data
-        perm_dev = max(perm_dev, float(np.abs(ea[perm] - ea_p).max()))
-        # memory is N x S by construction: the only pairwise product in the
-        # module is F.M_k^T, and the memories themselves are S x d
-        weights = T.matmul(Tensor(f), T.transpose2d(att.m_k))
-        assert weights.data.shape == (n, s)
+        ea_p = external_attention_forward(att, Tensor(f[:, perm])).data
+        perm_dev = max(perm_dev, float(np.abs(ea[:, perm] - ea_p).max()))
+        # memory is S x N by construction: the only pairwise product in the
+        # module is M_k.F, and the memories themselves are S x d
+        weights = T.matmul(att.m_k, Tensor(f))
+        assert weights.data.shape == (s, n)
         assert att.m_k.data.shape == (s, 3) and att.m_v.data.shape == (s, 3)
     report(4, "attention properties", row_dev < 1e-9 and perm_dev < 1e-12,
            f"row_sum_dev={row_dev:.2e} perm_dev={perm_dev:.2e}")

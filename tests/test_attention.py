@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,68 +16,70 @@ def make_att(s, d, seed=0):
 
 class TestDoubleNormalize:
     def test_equal_logits_uniform(self):
-        out = double_normalize(Tensor(np.zeros((3, 4)))).data
+        out = double_normalize(Tensor(np.zeros((4, 3)))).data
         assert np.allclose(out, 0.25)
 
     def test_single_memory_unit(self):
-        out = double_normalize(Tensor(np.random.default_rng(0).normal(size=(5, 1))))
+        out = double_normalize(Tensor(np.random.default_rng(0).normal(size=(1, 5))))
         assert np.allclose(out.data, 1.0)
 
     def test_worked_example(self):
-        a = Tensor(np.array([[0.0, 0.0], [np.log(2.0), 0.0]]))
+        a = Tensor(np.array([[0.0, np.log(2.0)], [0.0, 0.0]]))
         out = double_normalize(a).data
-        assert np.allclose(out, [[0.4, 0.6], [4 / 7, 3 / 7]])
+        assert np.allclose(out, [[0.4, 4 / 7], [0.6, 3 / 7]])
 
     def test_rows_sum_to_one(self):
+        # each pixel's weights over the S memory units sum to one
         rng = np.random.default_rng(1)
         for _ in range(20):
-            a = Tensor(rng.normal(size=(6, 5)) * 20)
+            a = Tensor(rng.normal(size=(5, 6)) * 20)
             out = double_normalize(a).data
             assert np.all(out >= 0)
-            assert np.abs(out.sum(axis=1) - 1).max() < 1e-9
+            assert np.abs(out.sum(axis=0) - 1).max() < 1e-9
 
 
 class TestExternalAttentionForward:
     def test_single_unit_collapses_to_value(self):
         att = make_att(1, 3)
-        f = Tensor(np.random.default_rng(2).normal(size=(4, 3)))
+        f = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
         out = external_attention_forward(att, f).data
-        assert np.allclose(out, np.broadcast_to(att.m_v.data, (4, 3)))
+        assert np.allclose(out, np.broadcast_to(att.m_v.data.T, (3, 4)))
 
     def test_identical_keys_give_value_mean(self):
         att = make_att(4, 3)
         att.m_k.data[:] = att.m_k.data[0]
-        f = Tensor(np.random.default_rng(3).normal(size=(5, 3)))
+        f = Tensor(np.random.default_rng(3).normal(size=(3, 5)))
         out = external_attention_forward(att, f).data
-        assert np.allclose(out, np.broadcast_to(att.m_v.data.mean(axis=0), (5, 3)))
+        assert np.allclose(out, np.broadcast_to(att.m_v.data.mean(axis=0)[:, None],
+                                                (3, 5)))
 
     def test_single_pixel_ignores_logits(self):
         att = make_att(2, 3)
         rng = np.random.default_rng(4)
-        outs = [external_attention_forward(att, Tensor(rng.normal(size=(1, 3)))).data
+        outs = [external_attention_forward(att, Tensor(rng.normal(size=(3, 1)))).data
                 for _ in range(3)]
-        expected = att.m_v.data.mean(axis=0)
+        expected = att.m_v.data.mean(axis=0)[:, None]
         for o in outs:
             assert np.allclose(o, expected)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            external_attention_forward(make_att(2, 3), Tensor(np.zeros((4, 5))))
+            external_attention_forward(make_att(2, 3), Tensor(np.zeros((5, 4))))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
         att = make_att(6, 4, seed=5)
         for _ in range(50):
-            f = rng.normal(size=(8, 4))
+            f = rng.normal(size=(4, 8))
             perm = rng.permutation(8)
             out = external_attention_forward(att, Tensor(f)).data
-            out_p = external_attention_forward(att, Tensor(f[perm])).data
-            assert np.abs(out[perm] - out_p).max() < 1e-12
+            out_p = external_attention_forward(att, Tensor(f[:, perm])).data
+            assert np.abs(out[:, perm] - out_p).max() < 1e-12
 
     def test_grad_check_all_inputs(self):
         rng = np.random.default_rng(6)
         att = make_att(3, 2, seed=6)
-        f = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        f = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
 
         def loss_via(target):
             def f_loss(_):
@@ -88,11 +92,11 @@ class TestExternalAttentionForward:
 
     def test_batched_equals_stacked(self):
         att = make_att(5, 4, seed=6)
-        f = np.random.default_rng(6).normal(size=(3, 7, 4))
+        f = np.random.default_rng(6).normal(size=(3, 4, 7))
         out = external_attention_forward(att, Tensor(f)).data
         stacked = np.stack([external_attention_forward(att, Tensor(fi)).data
                             for fi in f])
-        assert out.shape == (3, 7, 4)
+        assert out.shape == (3, 4, 7)
         assert np.abs(out - stacked).max() < 1e-12
 
 
@@ -124,7 +128,7 @@ class TestAttentionStage:
         assert np.abs(out[:, :, perm] - out_p).max() < 1e-12
 
     def test_memory_is_linear_in_pixels(self):
-        # attention map is [N,S]; keys/values never grow with pixel count
+        # attention map is [S,N]; keys/values never grow with pixel count
         stage = AttentionStage(1, 3, 2, s=4, rng=np.random.default_rng(12))
         assert stage.att.m_k.data.shape == (4, 3)
         assert stage.att.m_v.data.shape == (4, 3)
@@ -149,3 +153,67 @@ class TestAttentionStage:
         assert sorted(grads) == ["s.att.m_k", "s.att.m_v", "s.lift.w", "s.reduce.w"]
         for name, g in grads.items():
             assert np.abs(g - sum(gs[name] for _, gs in singles)).max() < 1e-12
+
+
+def pixels_first_stage(x, w_lift, m_k, m_v, w_reduce, g):
+    """Output and the five gradients of the stage for upstream g, in numpy.
+
+    The stage as a pixels-first [B,N,d] computation: lift, column softmax
+    over pixels, row L1 over memory units, value read-out, residual, reduce,
+    then its hand-written backward.
+    """
+    b, c, h, w = x.shape
+    xp = x.reshape(b, c, h * w).transpose(0, 2, 1)
+    lift, red = w_lift[:, :, 0, 0], w_reduce[:, :, 0, 0]
+    f = xp @ lift.T
+    logits = f @ m_k.T
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    soft = e / e.sum(axis=1, keepdims=True)
+    denom = soft.sum(axis=2, keepdims=True) + 1e-300
+    weights = soft / denom
+    r = weights @ m_v + f
+    out = (r @ red.T).transpose(0, 2, 1).reshape(b, -1, h, w)
+
+    gp = g.reshape(b, -1, h * w).transpose(0, 2, 1)
+    d_reduce = np.einsum("bno,bnd->od", gp, r)
+    dr = gp @ red
+    d_mv = np.einsum("bns,bnd->sd", weights, dr)
+    dweights = dr @ m_v.T
+    dsoft = (dweights - (dweights * weights).sum(axis=2, keepdims=True)) / denom
+    dlogits = soft * (dsoft - (dsoft * soft).sum(axis=1, keepdims=True))
+    d_mk = np.einsum("bns,bnd->sd", dlogits, f)
+    df = dr + dlogits @ m_k
+    d_lift = np.einsum("bnd,bnc->dc", df, xp)
+    dx = (df @ lift).transpose(0, 2, 1).reshape(x.shape)
+    return out, dx, d_lift[:, :, None, None], d_mk, d_mv, d_reduce[:, :, None, None]
+
+
+class TestAttentionStageLayout:
+    def test_matches_pixels_first_reference(self):
+        rng = np.random.default_rng(14)
+        stage = AttentionStage(2, 3, 4, s=5, rng=rng)
+        x = Tensor(rng.normal(size=(3, 2, 4, 5)), requires_grad=True)
+        out = stage(x)
+        g = rng.normal(size=out.data.shape)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        got = (out.data, x.grad, stage.lift.w.grad, stage.att.m_k.grad,
+               stage.att.m_v.grad, stage.reduce.w.grad)
+        want = pixels_first_stage(x.data, stage.lift.w.data, stage.att.m_k.data,
+                                  stage.att.m_v.data, stage.reduce.w.data, g)
+        for a, e in zip(got, want):
+            assert a.shape == e.shape
+            assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max()
+
+    def test_taped_forward_peak(self):
+        # batch 8 at 64 px, the full model's 2 -> 8 -> 8 stage: 21.2 MB
+        # pixels-last, 29.6 MB when the stage transposed to [B,N,d] and back
+        rng = np.random.default_rng(15)
+        stage = AttentionStage(2, 8, 8, s=16, rng=rng)
+        x = Tensor(rng.normal(size=(8, 2, 64, 64)))
+        tracemalloc.start()
+        try:
+            stage(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6

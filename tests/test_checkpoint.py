@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fusionseg.checkpoint import (load_checkpoint, load_into_params,
                                   save_checkpoint)
-from fusionseg.errors import IOError_
+from fusionseg.errors import ContractError, IOError_
 from fusionseg.segnet import AblationConfig, FusionSegNet
 from fusionseg.tensor import Tensor
 
@@ -64,6 +64,23 @@ def test_non_finite_tensor_rejected_on_load(tmp_path, bad):
     save_checkpoint(path, named)
     with pytest.raises(IOError_, match="non-finite values in 'decoder.head.w'"):
         net.load(path)
+
+
+def test_repeated_name_rejected_on_save(tmp_path):
+    path = tmp_path / "x.ckpt"
+    with pytest.raises(ContractError, match="'w' repeated"):
+        save_checkpoint(path, [("w", np.zeros(2)), ("w", np.ones(2))])
+    assert not path.exists()
+
+
+def test_repeated_name_rejected_on_load(tmp_path):
+    # a second copy of "w" appended to a one-tensor file, count bumped to 2
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, [("w", np.zeros(2))])
+    raw = path.read_bytes()
+    path.write_bytes(raw[:6] + b"\x02\x00\x00\x00" + raw[10:] + raw[10:])
+    with pytest.raises(IOError_, match="repeated tensor 'w'"):
+        load_checkpoint(path)
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -176,6 +177,23 @@ class TestEvalCmd:
         err = capsys.readouterr().err
         assert err.startswith("error:io:") and err.count("\n") == 1
         assert "non-finite" in err and named[0][0] in err
+
+    def test_repeated_tensor_is_io_error(self, tmp_path, capsys):
+        # every parameter, then the first one again with the count bumped
+        named = [(n, p.data) for n, p in build_net(TrainConfig()).named_params()]
+        full, first = tmp_path / "full.ckpt", tmp_path / "first.ckpt"
+        save_checkpoint(full, named)
+        save_checkpoint(first, named[:1])
+        raw = full.read_bytes()
+        path = tmp_path / "repeated.ckpt"
+        path.write_bytes(raw[:6] + struct.pack("<I", len(named) + 1) + raw[10:]
+                         + first.read_bytes()[10:])
+        rc = main(["eval", "--data-dir", str(tmp_path / "data"),
+                   "--checkpoint", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and err.count("\n") == 1
+        assert f"repeated tensor '{named[0][0]}'" in err
 
 
 class TestExportMaps:

@@ -32,6 +32,24 @@ class TestMatmul:
         with pytest.raises(DimensionError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
+    def test_shared_left_matches_per_image(self):
+        rng = np.random.default_rng(0)
+        a, b = rand(rng, 4, 3), rand(rng, 5, 3, 6)
+        out = T.matmul(a, b)
+        g = rng.normal(size=out.data.shape)
+        T.reduce_sum(T.mul(out, Tensor(g))).backward()
+        assert out.data.shape == (5, 4, 6)
+        assert np.abs(out.data - np.stack([a.data @ bi for bi in b.data])).max() < 1e-12
+        da = sum(gi @ bi.T for gi, bi in zip(g, b.data))
+        assert np.abs(a.grad - da).max() < 1e-12
+        assert np.abs(b.grad - np.stack([a.data.T @ gi for gi in g])).max() < 1e-12
+
+    @pytest.mark.parametrize("shapes", [((2, 3, 4), (2, 4, 5)), ((3, 4), (2, 5, 6))],
+                             ids=["both_batched", "inner_mismatch"])
+    def test_shared_left_rejected(self, shapes):
+        with pytest.raises(DimensionError):
+            T.matmul(Tensor(np.ones(shapes[0])), Tensor(np.ones(shapes[1])))
+
 
 def direct_conv(x, w, g, stride, dilation, padding):
     """Output and both gradients (for upstream g) by a nested-loop direct conv."""
@@ -378,6 +396,10 @@ OPS = {
     "matmul_batched": lambda t: T.reduce_sum(T.mul(
         T.matmul(T.reshape(t, (2, 3, 2)), T.reshape(t, (2, 6))),
         T.matmul(T.reshape(t, (2, 3, 2)), T.reshape(t, (2, 6))))),
+    # shared [6,2] left operand against a batched [2,2,3] right operand
+    "matmul_shared_left": lambda t: T.reduce_sum(T.mul(
+        T.matmul(T.reshape(t, (6, 2)), T.reshape(t, (2, 2, 3))),
+        T.matmul(T.reshape(t, (6, 2)), T.reshape(t, (2, 2, 3))))),
     "transpose_batched": lambda t: T.reduce_sum(T.mul(
         T.transpose2d(T.reshape(t, (2, 2, 3))), T.reshape(t, (2, 3, 2)))),
     "softmax": lambda t: T.reduce_sum(T.mul(T.softmax_axis(t, 1),
