@@ -74,16 +74,12 @@ class DiscriminatorNet(Module):
         return T.sigmoid(self.head(self.c2(self.c1(x))))
 
 
-def adversarial_losses(d_real: Tensor, d_fake: Tensor):
-    """Least-squares GAN losses: loss_D pulls real->1, fake->0; loss_G fake->1."""
-    return _disc_loss(d_real, d_fake), _ls_loss(d_fake, 1.0)
+def disc_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
+    """Least-squares discriminator loss: pulls real scores to 1, fake to 0."""
+    return T.scale(T.add(ls_loss(d_real, 1.0), ls_loss(d_fake, 0.0)), 0.5)
 
 
-def _disc_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
-    return T.scale(T.add(_ls_loss(d_real, 1.0), _ls_loss(d_fake, 0.0)), 0.5)
-
-
-def _ls_loss(score: Tensor, target: float) -> Tensor:
+def ls_loss(score: Tensor, target: float) -> Tensor:
     """Mean squared distance of discriminator scores from a 0/1 target."""
     diff = T.scale(score, 1.0, -target)
     return T.reduce_mean(T.mul(diff, diff))
@@ -121,8 +117,8 @@ def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
     fake_x = pair.g_yx(batch_y)
     rec_x = pair.g_yx(fake_y)
     rec_y = pair.g_xy(fake_x)
-    loss_g_xy = _ls_loss(pair.d_y(fake_y), 1.0)
-    loss_g_yx = _ls_loss(pair.d_x(fake_x), 1.0)
+    loss_g_xy = ls_loss(pair.d_y(fake_y), 1.0)
+    loss_g_yx = ls_loss(pair.d_x(fake_x), 1.0)
     cyc_x = cycle_loss(batch_x, rec_x, pair.lambda_cyc)
     cyc_y = cycle_loss(batch_y, rec_y, pair.lambda_cyc)
     gen_total = T.add(T.add(loss_g_xy, loss_g_yx), T.add(cyc_x, cyc_y))
@@ -131,8 +127,8 @@ def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
     pair.disc_opt.zero_grad()  # filled through the adversarial terms
 
     # discriminator phase (generators frozen; fakes detached)
-    loss_d_y = _disc_loss(pair.d_y(batch_y), pair.d_y(fake_y.detach()))
-    loss_d_x = _disc_loss(pair.d_x(batch_x), pair.d_x(fake_x.detach()))
+    loss_d_y = disc_loss(pair.d_y(batch_y), pair.d_y(fake_y.detach()))
+    loss_d_x = disc_loss(pair.d_x(batch_x), pair.d_x(fake_x.detach()))
     disc_total = T.add(loss_d_y, loss_d_x)
     disc_total.backward()
     pair.disc_opt.step(lr)

@@ -34,6 +34,6 @@ def bce_sigmoid_loss(logits: Tensor, target: Tensor) -> Tensor:
     return T.reduce_mean(per_pixel)
 
 
-def composite_loss(dice, bce) -> Tensor:
+def composite_loss(dice: Tensor, bce: Tensor) -> Tensor:
     """(1*dice + 3*bce) / 4 — the fixed 1:3 ratio with weights summing to 1."""
-    return T.scale(T.add(T.as_tensor(dice), T.scale(T.as_tensor(bce), 3.0)), 0.25)
+    return T.scale(T.add(dice, T.scale(bce, 3.0)), 0.25)

@@ -69,7 +69,6 @@ class Encoder(Module):
     def __init__(self, c_in, width_mult=1.0, depth_mult=1.0, rng=None):
         chans = [max(1, round(c * width_mult)) for c in self.base_channels]
         repeats = int(np.ceil(self.base_repeats * depth_mult))
-        self.channels = chans
         self.stem = ConvBNRelu(c_in, chans[0], 3, padding=1, rng=rng)
         prev = chans[0]
         self.stage = []
@@ -94,8 +93,6 @@ class Aspp(Module):
     """Parallel 1x1, atrous 3x3 per rate, and a global-pool branch, fused 1x1."""
 
     def __init__(self, c_in, c_out, rates, rng):
-        if not rates:
-            raise ConfigurationError("ASPP needs at least one dilation rate")
         self.one = ConvBNRelu(c_in, c_out, 1, rng=rng)
         self.atrous = [ConvBNRelu(c_in, c_out, 3, dilation=r, padding=r, rng=rng)
                        for r in rates]

@@ -109,29 +109,18 @@ def _node(data, parents, backward_fn):
                   _backward_fn=backward_fn if requires else None)
 
 
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """[..., n, k] x [k, m] or [n, k] x [..., k, m].
-
-    At least one operand is 2-d; it is shared by the batch of the other and
-    gets the batch-summed gradient.
-    """
-    if (min(a.data.ndim, b.data.ndim) != 2
-            or a.data.shape[-1] != b.data.shape[-2]):
+    """[n, k] x [..., k, m]; the shared 2-d ``a`` gets the batch-summed gradient."""
+    if (a.data.ndim != 2 or b.data.ndim < 2
+            or a.data.shape[1] != b.data.shape[-2]):
         raise DimensionError(
             f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
     out = a.data @ b.data
 
     def backward(g):
-        if b.data.ndim == 2:
-            k, m = b.data.shape
-            return (g @ b.data.T, a.data.reshape(-1, k).T @ g.reshape(-1, m))
         da = g @ np.swapaxes(b.data, -1, -2)
         return (da.reshape(-1, *a.data.shape).sum(axis=0), a.data.T @ g)
 
@@ -244,6 +233,10 @@ def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:
 # normalizations
 
 BATCHNORM_EPS = 1e-5  # added to the batch variance before its square root
+# guards an L1 denominator; its one caller feeds it softmax output, which is
+# strictly positive, so it can be tiny: sums stay within 1e-9 of 1 even for a
+# single memory unit
+L1_EPS = 1e-300
 
 
 def softmax_axis(x: Tensor, axis: int) -> Tensor:
@@ -260,12 +253,12 @@ def softmax_axis(x: Tensor, axis: int) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def l1_normalize_axis(x: Tensor, axis: int, eps: float = 1e-9) -> Tensor:
+def l1_normalize_axis(x: Tensor, axis: int) -> Tensor:
     if not -x.data.ndim <= axis < x.data.ndim:
         raise DimensionError(f"axis {axis} invalid for shape {x.data.shape}")
     if np.any(x.data < 0):
         raise DomainError("l1_normalize_axis requires nonnegative entries")
-    denom = x.data.sum(axis=axis, keepdims=True) + eps
+    denom = x.data.sum(axis=axis, keepdims=True) + L1_EPS
     out = x.data / denom
 
     def backward(g):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,18 +63,30 @@ def batch_losses(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray):
     return dice, bce, composite_loss(dice, bce)
 
 
-def predicted_masks(net, sar: np.ndarray, batch_size: int):
-    """Yield (first index, boolean foreground masks [B,H,W]) per batch, in order.
+def _forward_batches(fn, x: np.ndarray, batch_size: int):
+    """Yield (first index, ``fn(batch).data``) per batch, in order, with no tape.
 
-    ``net`` maps an input batch to logits; it runs with no tape.
+    Every pass over a split cuts it here, so all cut alike: the generator's
+    batch norm uses batch statistics, so its output depends on the chunk.
     """
-    for start in range(0, len(sar), batch_size):
+    for start in range(0, len(x), batch_size):
         # only the call: a block held open across the yield would leave the
         # tape off in the caller's code too
         with T.no_grad():
-            logits = net(Tensor(sar[start:start + batch_size]))
+            out = fn(Tensor(x[start:start + batch_size])).data
+        yield start, out
+
+
+def predicted_masks(net, sar: np.ndarray, batch_size: int):
+    """Yield (first index, boolean foreground masks [B,H,W]) per batch, in order.
+
+    ``net`` maps an input batch to logits; a non-finite one is a DomainError.
+    """
+    for start, logits in _forward_batches(net, sar, batch_size):
+        if not np.isfinite(logits).all():
+            raise DomainError(f"non-finite logits in the batch at index {start}")
         # not logits >= 0: a tiny negative logit rounds to probability 0.5
-        yield start, T.sigmoid(logits).data[:, 0] >= 0.5
+        yield start, T.sigmoid(Tensor(logits)).data[:, 0] >= 0.5
 
 
 def evaluate(net, sar: np.ndarray, masks: np.ndarray, batch_size: int = 8):
@@ -96,22 +107,6 @@ def evaluate(net, sar: np.ndarray, masks: np.ndarray, batch_size: int = 8):
             "confusion": counts.tolist()}
 
 
-def _stitched_split(net: FusionSegNet, sar: np.ndarray, batch_size: int):
-    """``net.stitch`` of a split, in the chunks ``evaluate`` uses, concatenated.
-
-    The generator is frozen, so one stitch serves every epoch. Its batch
-    norm uses batch statistics, so its output for an image depends on the
-    images that share its batch: only these exact chunks give ``net.body``
-    the input that ``net`` would stitch itself.
-    """
-    if len(sar) == 0:
-        return sar
-    with T.no_grad():
-        return np.concatenate([
-            net.stitch(Tensor(sar[start:start + batch_size])).data
-            for start in range(0, len(sar), batch_size)])
-
-
 def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
           best_checkpoint_path=None, log=print):
     """Full segmentation training run; returns (net, metrics records)."""
@@ -123,11 +118,13 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
     opt = AdamW(net.named_params(), config.weight_decay)
     rng = np.random.Generator(np.random.PCG64(config.seed + 7))
     records = []
-    val_inputs = _stitched_split(net, sar_val, config.batch_size)
+    # the generator is frozen, so one stitch of the val split serves every epoch
+    val_inputs = [x for _, x in
+                  _forward_batches(net.stitch, sar_val, config.batch_size)]
+    val_inputs = np.concatenate(val_inputs) if val_inputs else None
     best_fwiou = -1.0
     with open(metrics_path or os.devnull, "w") as metrics_file:
         for epoch in range(config.epochs):
-            t0 = time.monotonic()
             lr = lr_schedule(epoch, config)
             order = rng.permutation(len(sar_train))
             dice_sum = bce_sum = comp_sum = 0.0
@@ -146,7 +143,7 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
                 comp_sum += comp.item()
                 n_batches += 1
             val = (evaluate(net.body, val_inputs, mask_val, config.batch_size)
-                   if len(sar_val) else None)
+                   if val_inputs is not None else None)
             record = {
                 "epoch": epoch,
                 "train_loss": {"dice": dice_sum / n_batches,
@@ -155,12 +152,9 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
                 "val_fwiou": val["fwiou"] if val else None,
                 "val_iou_per_class": val["iou_per_class"] if val else None,
                 "lr": lr,
-                "wall_ms": int(1000 * (time.monotonic() - t0)),
             }
             records.append(record)
-            # wall_ms stays out of the file so identical runs diff clean
-            persisted = {k: v for k, v in record.items() if k != "wall_ms"}
-            metrics_file.write(json.dumps(persisted, sort_keys=True) + "\n")
+            metrics_file.write(json.dumps(record, sort_keys=True) + "\n")
             metrics_file.flush()
             if log:
                 log(f"epoch {epoch}: loss={record['train_loss']['composite']:.4f}"
@@ -186,6 +180,9 @@ def run_ablation(config: TrainConfig, log=print):
     sar_test, mask_test, _ = load_split(config.data_dir, "test")
     if len(sar_test) == 0:
         sar_test, mask_test, _ = load_split(config.data_dir, "val")
+    if len(sar_test) == 0:
+        # before any row trains: evaluate would reject the split only after
+        raise ConfigurationError("ablation needs a nonempty test or val split")
     rows = []
     for name, ablation in ABLATION_ROWS:
         cfg = replace(config, ablation=ablation)

@@ -13,7 +13,7 @@ from fusionseg import tensor as T
 from fusionseg.attention import (ExternalAttention, double_normalize,
                                  external_attention_forward)
 from fusionseg.config import TrainConfig
-from fusionseg.gan import GanPair, adversarial_losses, cycle_loss, pretrain_gan
+from fusionseg.gan import GanPair, cycle_loss, disc_loss, ls_loss, pretrain_gan
 from fusionseg.losses import bce_sigmoid_loss, composite_loss, dice_loss
 from fusionseg.metrics import confusion_matrix, fwiou, iou_per_class
 from fusionseg.segnet import AblationConfig
@@ -119,7 +119,8 @@ def test_criterion_1_gradient_suite():
         real = Tensor(rng.uniform(0.1, 0.9, 6))
         x = Tensor(rng.random(6))
         def f(t):
-            loss_d, loss_g = adversarial_losses(real, T.sigmoid(t))
+            fake = T.sigmoid(t)
+            loss_d, loss_g = disc_loss(real, fake), ls_loss(fake, 1.0)
             cyc = cycle_loss(Tensor(x.data.reshape(1, 1, 2, 3)),
                              T.reshape(T.sigmoid(t), (1, 1, 2, 3)), 10.0)
             return T.add(T.add(loss_d, loss_g), cyc)
@@ -171,7 +172,7 @@ def test_criterion_3_loss_exactness():
     d1 = dice_loss(Tensor(np.ones(4)), Tensor(np.ones(4))).item()
     d2 = dice_loss(Tensor(np.zeros(4)), Tensor(np.zeros(4))).item()
     d3 = dice_loss(Tensor(np.full(4, 0.5)), Tensor(np.ones(4))).item()
-    comp = composite_loss(0.0, np.log(2.0)).item()
+    comp = composite_loss(Tensor(0.0), Tensor(np.log(2.0))).item()
     bce_vals = [bce_sigmoid_loss(Tensor([z]), Tensor([y])).item()
                 for z in (1e6, -1e6, 0.0) for y in (0.0, 1.0)]
     ok = (abs(d1) < 1e-12 and abs(d2) < 1e-12 and abs(d3 - 2 / 7) < 1e-12

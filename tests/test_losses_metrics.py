@@ -84,14 +84,14 @@ class TestBceLoss:
 
 class TestCompositeLoss:
     def test_zero(self):
-        assert composite_loss(0.0, 0.0).item() == 0.0
+        assert composite_loss(Tensor(0.0), Tensor(0.0)).item() == 0.0
 
     def test_ln2_case(self):
-        v = composite_loss(0.0, math.log(2)).item()
+        v = composite_loss(Tensor(0.0), Tensor(math.log(2))).item()
         assert v == pytest.approx(3 * math.log(2) / 4, abs=1e-12)
 
     def test_weights_sum_to_one(self):
-        assert composite_loss(1.0, 1.0).item() == pytest.approx(1.0)
+        assert composite_loss(Tensor(1.0), Tensor(1.0)).item() == pytest.approx(1.0)
 
 
 class TestConfusionMatrix:

@@ -66,7 +66,9 @@ class TestEncoder:
     def test_width_mult_doubles_channels(self):
         base = Encoder(4, width_mult=1.0, rng=np.random.default_rng(8))
         wide = Encoder(4, width_mult=2.0, rng=np.random.default_rng(8))
-        assert wide.channels == [2 * c for c in base.channels]
+        def widths(enc):
+            return [s.b[0].conv.w.data.shape[0] for s in enc.stage]
+        assert widths(wide) == [2 * c for c in widths(base)]
 
     def test_depth_mult_ceil_repeats(self):
         deep = Encoder(4, depth_mult=2.0, rng=np.random.default_rng(9))
@@ -80,7 +82,7 @@ class TestEncoder:
 
 class TestAspp:
     def test_preserves_spatial_dims(self):
-        for rates in ((1,), (1, 2, 4), (2, 3)):
+        for rates in ((), (1,), (1, 2, 4), (2, 3)):
             aspp = Aspp(4, 6, rates, np.random.default_rng(11))
             x = Tensor(np.random.default_rng(12).random((2, 4, 8, 8)))
             assert aspp(x).data.shape == (2, 6, 8, 8)
@@ -92,10 +94,6 @@ class TestAspp:
         out = aspp(Tensor(np.ones((1, 3, 8, 8)))).data
         interior = out[:, :, 2:-2, 2:-2]
         assert np.all(interior.std(axis=(2, 3)) < 1e-10)
-
-    def test_empty_rates_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Aspp(3, 4, (), np.random.default_rng(14))
 
     def test_one_concat_matches_pairwise_concats_bitwise(self):
         aspp = Aspp(3, 4, (1, 2, 4), np.random.default_rng(15))

@@ -44,8 +44,9 @@ class TestMatmul:
         assert np.abs(a.grad - da).max() < 1e-12
         assert np.abs(b.grad - np.stack([a.data.T @ gi for gi in g])).max() < 1e-12
 
-    @pytest.mark.parametrize("shapes", [((2, 3, 4), (2, 4, 5)), ((3, 4), (2, 5, 6))],
-                             ids=["both_batched", "inner_mismatch"])
+    @pytest.mark.parametrize("shapes", [((2, 3, 4), (2, 4, 5)), ((3, 4), (2, 5, 6)),
+                                        ((2, 3, 4), (4, 5))],
+                             ids=["both_batched", "inner_mismatch", "batched_left"])
     def test_shared_left_rejected(self, shapes):
         with pytest.raises(DimensionError):
             T.matmul(Tensor(np.ones(shapes[0])), Tensor(np.ones(shapes[1])))
@@ -211,7 +212,7 @@ class TestSoftmaxAndL1:
         assert np.allclose(out.data, 0.25)
 
     def test_l1_zero_slice(self):
-        out = T.l1_normalize_axis(Tensor([0.0, 0.0]), 0, eps=1e-9)
+        out = T.l1_normalize_axis(Tensor([0.0, 0.0]), 0)
         assert np.all(out.data == 0)
 
     def test_l1_direct(self):
@@ -392,10 +393,6 @@ class TestGradCheck:
 OPS = {
     "matmul": lambda t: T.reduce_sum(T.mul(T.matmul(t, T.transpose2d(t)),
                                            T.matmul(t, T.transpose2d(t)))),
-    # batched left operand [2,3,2] against a shared [2,6] right operand
-    "matmul_batched": lambda t: T.reduce_sum(T.mul(
-        T.matmul(T.reshape(t, (2, 3, 2)), T.reshape(t, (2, 6))),
-        T.matmul(T.reshape(t, (2, 3, 2)), T.reshape(t, (2, 6))))),
     # shared [6,2] left operand against a batched [2,2,3] right operand
     "matmul_shared_left": lambda t: T.reduce_sum(T.mul(
         T.matmul(T.reshape(t, (6, 2)), T.reshape(t, (2, 2, 3))),

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,11 +7,12 @@ import pytest
 
 from fusionseg import training
 from fusionseg.config import TrainConfig
+from fusionseg.errors import ConfigurationError, DomainError
 from fusionseg.gan import GeneratorNet, pretrain_gan
 from fusionseg.segnet import AblationConfig, FusionSegNet
 from fusionseg.synthdata import SceneSpec, load_split, make_dataset
 from fusionseg.tensor import Tensor
-from fusionseg.training import evaluate, train
+from fusionseg.training import evaluate, export_maps, train
 
 N_TRAIN, N_VAL, BATCH, EPOCHS = 5, 5, 2, 3
 
@@ -101,3 +103,46 @@ def test_evaluate_thresholds_extreme_logits_without_overflow():
     expected = [[int(np.sum((true == t) & (pred == p))) for p in (0, 1)]
                 for t in (0, 1)]
     assert report["confusion"] == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_logits_are_a_domain_error(bad, tmp_path):
+    # thresholded, a NaN logit would read as background and inf as foreground
+    rng = np.random.default_rng(2)
+    sar = rng.random((3, 1, 4, 4))
+    masks = (rng.random((3, 4, 4)) > 0.5).astype(np.float64)
+
+    def stub(x):
+        logits = np.where(x.data > 0.5, 800.0, -800.0)
+        if len(x.data) == 1:  # the last batch, which starts at index 2
+            logits[0, 0, 1, 1] = bad
+        return Tensor(logits)
+
+    with pytest.raises(DomainError, match="index 2"):
+        evaluate(stub, sar, masks, batch_size=2)
+    with pytest.raises(DomainError, match="index 2"):
+        export_maps(stub, sar, masks, tmp_path, batch_size=2)
+
+
+def test_records_equal_the_metrics_file(full_config, tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    _, records = train(full_config, metrics_path=path, log=None)
+    assert [json.loads(line) for line in path.read_text().splitlines()] == records
+
+
+def test_ablation_without_test_or_val_images_trains_nothing(tmp_path,
+                                                           monkeypatch):
+    make_dataset(SceneSpec(image_size=32, seed=4), tmp_path, 2, 0, 0, 4)
+    calls = []
+    real_train = training.train
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train", counted)
+    config = TrainConfig(epochs=1, batch_size=2, seed=4, image_size=32,
+                         data_dir=str(tmp_path))
+    with pytest.raises(ConfigurationError, match="nonempty test or val"):
+        training.run_ablation(config, log=None)
+    assert len(calls) == 0
