@@ -10,11 +10,9 @@ memory units.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as T
 from .errors import DimensionError
-from .layers import Conv2d, Module
+from .layers import Conv2d, Module, uniform_init
 from .tensor import Tensor
 
 
@@ -23,9 +21,8 @@ class ExternalAttention(Module):
 
     def __init__(self, s, d, rng=None):
         self.d = d
-        bound = 1.0 / np.sqrt(d)
-        self.m_k = Tensor(rng.uniform(-bound, bound, size=(s, d)), requires_grad=True)
-        self.m_v = Tensor(rng.uniform(-bound, bound, size=(s, d)), requires_grad=True)
+        self.m_k = Tensor(uniform_init(rng, (s, d), d), requires_grad=True)
+        self.m_v = Tensor(uniform_init(rng, (s, d), d), requires_grad=True)
 
 
 def double_normalize(a: Tensor) -> Tensor:

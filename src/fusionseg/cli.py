@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -16,14 +15,6 @@ from .segnet import AblationConfig
 from .synthdata import SceneSpec, load_split, make_dataset
 from .training import (build_net, evaluate, export_maps, format_ablation_table,
                        run_ablation, train)
-
-VERBOSE = os.environ.get("FUSIONSEG_LOG", "info") != "quiet"
-
-
-def _log(msg):
-    if VERBOSE:
-        print(msg)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with a usage error raised as ``ConfigurationError``, not exit 2.
@@ -67,7 +58,7 @@ def cmd_gen_data(config, args):
                             config.data_dir, config.n_train, config.n_val,
                             config.n_test, config.seed)
     counts = {k: len(v) for k, v in manifest["splits"].items()}
-    _log(f"dataset written to {config.data_dir}: {counts}")
+    print(f"dataset written to {config.data_dir}: {counts}")
 
 
 def cmd_pretrain_gan(config, args):
@@ -85,8 +76,8 @@ def cmd_pretrain_gan(config, args):
         pretrain_gan(sar, optical[:n_opt], config.gan_iterations,
                      config.seed, checkpoint_path=config.gan_checkpoint,
                      lr=config.gan_lr, batch_size=config.gan_batch_size,
-                     lambda_cyc=config.lambda_cyc, log_fn=log_fn)
-    _log(f"GAN checkpoint written to {config.gan_checkpoint}")
+                     log_fn=log_fn)
+    print(f"GAN checkpoint written to {config.gan_checkpoint}")
 
 
 def cmd_train(config, args):
@@ -96,9 +87,8 @@ def cmd_train(config, args):
         config,
         metrics_path=out / "metrics.jsonl",
         checkpoint_path=out / "last.ckpt",
-        best_checkpoint_path=out / "best.ckpt",
-        log=_log)
-    _log(f"final val_fwiou={records[-1]['val_fwiou']}")
+        best_checkpoint_path=out / "best.ckpt")
+    print(f"final val_fwiou={records[-1]['val_fwiou']}")
 
 
 def _checkpointed_net_and_split(config, args):
@@ -116,7 +106,7 @@ def cmd_eval(config, args):
 
 
 def cmd_ablate(config, args):
-    rows = run_ablation(config, log=_log)
+    rows = run_ablation(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "ablation.json").write_text(json.dumps(rows, indent=1, sort_keys=True))
@@ -127,7 +117,7 @@ def cmd_export_maps(config, args):
     net, sar, masks = _checkpointed_net_and_split(config, args)
     written = export_maps(net, sar, masks, args.maps_dir or
                           Path(config.out_dir) / "maps", config.batch_size)
-    _log(f"wrote {len(written)} prediction maps")
+    print(f"wrote {len(written)} prediction maps")
 
 
 def main(argv=None) -> int:

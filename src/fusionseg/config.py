@@ -10,10 +10,6 @@ from pathlib import Path
 from .errors import ConfigurationError
 from .segnet import AblationConfig
 
-# Largest width_mult and depth_mult: at 16 and 16 the net has 45M parameters
-# (34k at 1 and 1), and far larger values hang or fail while building it.
-MAX_MULT = 16.0
-
 
 @dataclass
 class TrainConfig:
@@ -25,11 +21,8 @@ class TrainConfig:
     gan_iterations: int = 500
     gan_lr: float = 5e-4
     gan_batch_size: int = 1
-    lambda_cyc: float = 10.0
     seed: int = 0
     image_size: int = 64
-    width_mult: float = 1.0
-    depth_mult: float = 1.0
     data_dir: str = "data"
     out_dir: str = "runs"
     gan_checkpoint: str = "runs/gan.ckpt"
@@ -45,9 +38,6 @@ class TrainConfig:
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-        if not (0 < self.width_mult <= MAX_MULT and 0 < self.depth_mult <= MAX_MULT):
-            raise ConfigurationError(
-                f"width_mult and depth_mult must be in (0, {MAX_MULT:g}]")
         if self.lr_min > self.lr_init:
             raise ConfigurationError("lr_min must not exceed lr_init")
         if self.epochs < 1 or self.batch_size < 1 or self.gan_batch_size < 1:
@@ -55,9 +45,9 @@ class TrainConfig:
                 "epochs, batch_size and gan_batch_size must be >= 1")
         if self.gan_iterations < 0:
             raise ConfigurationError("gan_iterations must be >= 0")
-        if min(self.lr_min, self.gan_lr, self.weight_decay, self.lambda_cyc) < 0:
+        if min(self.lr_min, self.gan_lr, self.weight_decay) < 0:
             raise ConfigurationError(
-                "lr_min, gan_lr, weight_decay and lambda_cyc must be >= 0")
+                "lr_min, gan_lr and weight_decay must be >= 0")
 
     def to_json(self) -> str:
         d = asdict(self)

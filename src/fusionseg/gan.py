@@ -16,6 +16,7 @@ from .layers import BatchNorm2d, Conv2d, ConvBNRelu, Module
 from .tensor import AdamW, Tensor
 
 BASE = 8  # channels of the first conv of every generator and discriminator
+LAMBDA_CYC = 10.0  # weight of each cycle-consistency term (Zhu et al.)
 
 
 class ResidualBlock(Module):
@@ -85,21 +86,21 @@ def ls_loss(score: Tensor, target: float) -> Tensor:
     return T.reduce_mean(T.mul(diff, diff))
 
 
-def cycle_loss(x: Tensor, x_rec: Tensor, lambda_cyc: float) -> Tensor:
+def cycle_loss(x: Tensor, x_rec: Tensor) -> Tensor:
+    """Mean absolute reconstruction error, weighted by ``LAMBDA_CYC``."""
     if x.data.shape != x_rec.data.shape:
         raise DimensionError("cycle_loss shape mismatch")
     return T.scale(T.reduce_mean(T.absolute(T.add(x, T.scale(x_rec, -1.0)))),
-                   lambda_cyc)
+                   LAMBDA_CYC)
 
 
 class GanPair(Module):
-    def __init__(self, seed: int, lambda_cyc: float = 10.0):
+    def __init__(self, seed: int):
         rng = np.random.Generator(np.random.PCG64(seed))
         self.g_xy = GeneratorNet(rng)
         self.g_yx = GeneratorNet(rng)
         self.d_x = DiscriminatorNet(rng)
         self.d_y = DiscriminatorNet(rng)
-        self.lambda_cyc = lambda_cyc
         self.gen_opt = AdamW(self.g_xy.named_params("g_xy")
                              + self.g_yx.named_params("g_yx"))
         self.disc_opt = AdamW(self.d_x.named_params("d_x")
@@ -119,8 +120,8 @@ def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
     rec_y = pair.g_xy(fake_x)
     loss_g_xy = ls_loss(pair.d_y(fake_y), 1.0)
     loss_g_yx = ls_loss(pair.d_x(fake_x), 1.0)
-    cyc_x = cycle_loss(batch_x, rec_x, pair.lambda_cyc)
-    cyc_y = cycle_loss(batch_y, rec_y, pair.lambda_cyc)
+    cyc_x = cycle_loss(batch_x, rec_x)
+    cyc_y = cycle_loss(batch_y, rec_y)
     gen_total = T.add(T.add(loss_g_xy, loss_g_yx), T.add(cyc_x, cyc_y))
     gen_total.backward()
     pair.gen_opt.step(lr)
@@ -142,12 +143,11 @@ def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
 
 def pretrain_gan(x_set: np.ndarray, y_set: np.ndarray, iterations: int,
                  seed: int, checkpoint_path=None, lr: float = 5e-4,
-                 batch_size: int = 1, lambda_cyc: float = 10.0,
-                 log_fn=None) -> GanPair:
+                 batch_size: int = 1, log_fn=None) -> GanPair:
     """Train on unpaired sets sampled independently with replacement."""
     if len(x_set) == 0 or len(y_set) == 0:
         raise ConfigurationError("pretrain_gan requires nonempty image sets")
-    pair = GanPair(seed=seed, lambda_cyc=lambda_cyc)
+    pair = GanPair(seed=seed)
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     for it in range(iterations):
         xi = rng.integers(0, len(x_set), size=batch_size)

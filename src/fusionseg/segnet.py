@@ -1,4 +1,4 @@
-"""Fusion segmentation network: stitch, attention, scaled encoder, ASPP, decoder.
+"""Fusion segmentation network: stitch, attention, encoder, ASPP, decoder.
 
 Ablation switches mirror the experiment matrix: Body only, generated image
 replacing the SAR input, attention on top, and channel-stitching of generated
@@ -49,34 +49,28 @@ def stitch_channels_input(sar: Tensor, cfg: AblationConfig,
 
 
 class EncoderStage(Module):
-    def __init__(self, cin, cout, repeats, rng):
+    def __init__(self, cin, cout, rng):
+        # a one-block list: the checkpoint names stay "stage<i>.b0.*"
         self.b = [ConvBNRelu(cin, cout, 3, stride=2, padding=1, rng=rng)]
-        for _ in range(repeats - 1):
-            self.b.append(ConvBNRelu(cout, cout, 3, padding=1, rng=rng))
 
     def __call__(self, x):
-        for block in self.b:
-            x = block(x)
-        return x
+        return self.b[0](x)
 
 
 class Encoder(Module):
-    """Compound-scaled plain conv stack tapping features at strides 4 and 16."""
+    """Plain conv stack tapping features at strides 4 and 16."""
 
-    base_channels = (8, 12, 16, 24)
-    base_repeats = 1
+    channels = (8, 12, 16, 24)
+    low_channels = channels[1]   # stride 4
+    high_channels = channels[3]  # stride 16
 
-    def __init__(self, c_in, width_mult=1.0, depth_mult=1.0, rng=None):
-        chans = [max(1, round(c * width_mult)) for c in self.base_channels]
-        repeats = int(np.ceil(self.base_repeats * depth_mult))
-        self.stem = ConvBNRelu(c_in, chans[0], 3, padding=1, rng=rng)
-        prev = chans[0]
+    def __init__(self, c_in, rng=None):
+        self.stem = ConvBNRelu(c_in, self.channels[0], 3, padding=1, rng=rng)
+        prev = self.channels[0]
         self.stage = []
-        for c in chans:
-            self.stage.append(EncoderStage(prev, c, repeats, rng))
+        for c in self.channels:
+            self.stage.append(EncoderStage(prev, c, rng))
             prev = c
-        self.low_channels = chans[1]   # stride 4
-        self.high_channels = chans[3]  # stride 16
 
     def __call__(self, x):
         if x.data.shape[2] % 16 or x.data.shape[3] % 16:
@@ -127,14 +121,16 @@ class FusionSegNet(Module):
     attention_units = 16
     attention_dim = 8
     aspp_rates = (1, 2, 4)
+    lift_channels = 8
+    decoder_channels = 16
 
-    def __init__(self, cfg: AblationConfig, seed: int, width_mult=1.0,
-                 depth_mult=1.0, generator: GeneratorNet | None = None):
+    def __init__(self, cfg: AblationConfig, seed: int,
+                 generator: GeneratorNet | None = None):
         self.cfg = cfg
         self._generator = generator  # frozen: "_" keeps it out of named_params
         rng = np.random.Generator(np.random.PCG64(seed))
         c_in = cfg.input_channels
-        lift_out = max(1, round(8 * width_mult))
+        lift_out = self.lift_channels
         if cfg.use_attention:
             self.attention = AttentionStage(c_in, self.attention_dim, lift_out,
                                             s=self.attention_units, rng=rng)
@@ -142,11 +138,11 @@ class FusionSegNet(Module):
         else:
             self.attention = None
             self.lift = Conv2d(c_in, lift_out, 1, rng=rng)
-        self.encoder = Encoder(lift_out, width_mult, depth_mult, rng=rng)
-        c_high = self.encoder.high_channels
+        self.encoder = Encoder(lift_out, rng=rng)
+        c_high = Encoder.high_channels
         self.aspp = Aspp(c_high, c_high, self.aspp_rates, rng=rng)
-        self.decoder = Decoder(c_high, self.encoder.low_channels,
-                               max(8, round(16 * width_mult)), rng=rng)
+        self.decoder = Decoder(c_high, Encoder.low_channels,
+                               self.decoder_channels, rng=rng)
 
     def __call__(self, sar: Tensor) -> Tensor:
         return self.body(self.stitch(sar))

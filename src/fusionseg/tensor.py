@@ -164,10 +164,8 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
 
     The input is copied once, channels-last, so each tap (i, j) is a strided
     window ``[B,Ho,Wo,C]`` times ``w[:, :, i, j].T`` (``[C,O]``), a GEMM with
-    no im2col buffer; the products sum into one ``[B,Ho,Wo,O]`` buffer. The
-    tape keeps that copy only when it is padded. Unpadded, it holds the same
-    values as ``x.data``, so backward rebuilds it instead and the tape holds
-    no second copy of the input.
+    no im2col buffer; the products sum into one ``[B,Ho,Wo,O]`` buffer, and
+    the tape keeps the copy for backward.
 
     An unstrided, unpadded 1x1 conv copies nothing: NCHW viewed as
     ``[B,C,H*W]`` is one ``[O,C] x [B,C,H*W]`` ``matmul``, whose tape gives
@@ -205,16 +203,14 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
     for i, j, sl in taps:
         acc += xc[sl] @ wk[i, j]
     out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
-    kept = xc if padding else None
 
     def backward(g):
-        xg = kept if padding else _channels_last(x.data, 0)
         g4 = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
         g2d = g4.reshape(-1, cout)
-        dxc = np.zeros_like(xg)
+        dxc = np.zeros_like(xc)
         dw = np.empty((cout, cin, k, k))
         for i, j, sl in taps:
-            dw[:, :, i, j] = g2d.T @ xg[sl].reshape(-1, cin)
+            dw[:, :, i, j] = g2d.T @ xc[sl].reshape(-1, cin)
             dxc[sl] += g4 @ w.data[:, :, i, j]
         dx = dxc[:, padding:padding + h, padding:padding + wd].transpose(0, 3, 1, 2)
         return (np.ascontiguousarray(dx), dw)

@@ -47,10 +47,7 @@ def build_net(config: TrainConfig) -> FusionSegNet:
             raise ConfigurationError(
                 f"use_gan set but no GAN checkpoint at {config.gan_checkpoint}")
         generator = load_generator_from(config.gan_checkpoint)
-    return FusionSegNet(config.ablation, seed=config.seed,
-                        width_mult=config.width_mult,
-                        depth_mult=config.depth_mult,
-                        generator=generator)
+    return FusionSegNet(config.ablation, seed=config.seed, generator=generator)
 
 
 def batch_losses(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray):
@@ -142,8 +139,11 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
                 bce_sum += bce.item()
                 comp_sum += comp.item()
                 n_batches += 1
-            val = (evaluate(net.body, val_inputs, mask_val, config.batch_size)
-                   if val_inputs is not None else None)
+            val = None
+            if val_inputs is not None:
+                val = evaluate(net.body, val_inputs, mask_val, config.batch_size)
+            else:  # the loss predates the step: a forward catches overflowed weights
+                next(predicted_masks(net, sar_train[idx], config.batch_size))
             record = {
                 "epoch": epoch,
                 "train_loss": {"dice": dice_sum / n_batches,

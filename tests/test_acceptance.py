@@ -122,7 +122,7 @@ def test_criterion_1_gradient_suite():
             fake = T.sigmoid(t)
             loss_d, loss_g = disc_loss(real, fake), ls_loss(fake, 1.0)
             cyc = cycle_loss(Tensor(x.data.reshape(1, 1, 2, 3)),
-                             T.reshape(T.sigmoid(t), (1, 1, 2, 3)), 10.0)
+                             T.reshape(T.sigmoid(t), (1, 1, 2, 3)))
             return T.add(T.add(loss_d, loss_g), cyc)
         return f
     check("gan_losses", gan_fn, lambda: t_rand(6))

@@ -88,8 +88,7 @@ class TestPretrainGanCmd:
         ckpt = tmp_path / "gan.ckpt"
         rc = main(["pretrain-gan", "--data-dir", str(tiny_data),
                    "--gan-checkpoint", str(ckpt), "--gan-iterations", "3",
-                   "--gan-batch-size", "2", "--lambda-cyc", "5",
-                   "--seed", "3"])
+                   "--gan-batch-size", "2", "--seed", "3"])
         assert rc == 0
         lines = (tmp_path / "gan.losses.jsonl").read_text().splitlines()
         assert len(lines) == 3
@@ -148,6 +147,22 @@ class TestTrainCmd:
                    "--epochs", "1", "--use-gan", "--seed", "3"])
         assert rc == 1
         assert "error:config" in capsys.readouterr().err
+
+    # the step overflows the weights while the batch loss, taken before it,
+    # stays finite; numpy warns on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_weights_without_val_split_are_domain_error(
+            self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-data", "--data-dir", str(data), "--n-train", "4",
+                     "--n-val", "0", "--n-test", "2", "--seed", "3"]) == 0
+        rc = main(["train", "--data-dir", str(data), "--out-dir", str(out),
+                   "--epochs", "1", "--batch-size", "4",
+                   "--lr-init", "1.7e308", "--lr-min", "1.7e308"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:domain:") and ONE_ERROR_LINE.fullmatch(err)
+        assert not (out / "last.ckpt").exists()
 
 
 class TestEvalCmd:
@@ -274,6 +289,9 @@ class TestConfigFile:
         json.dumps({"gan_lr": -5e-4}),
         json.dumps({"weight_decay": -5e-4}),
         json.dumps({"lambda_cyc": -10.0}),
+        json.dumps({"width_mult": 1.0}),
+        json.dumps({"depth_mult": 1.0}),
+        json.dumps({"lambda_cyc": 10.0}),
     ], ids=["lr_min_above_lr_init", "unknown_key", "string_for_int",
             "bool_for_int", "unknown_ablation_key", "ablation_not_object",
             "not_an_object", "malformed_json", "negative_seed",
@@ -282,7 +300,8 @@ class TestConfigFile:
             "negative_depth_mult", "int_beyond_float_range",
             "huge_width_mult", "huge_depth_mult", "negative_gan_batch_size",
             "zero_gan_batch_size", "negative_gan_iterations", "negative_lr",
-            "negative_gan_lr", "negative_weight_decay", "negative_lambda_cyc"])
+            "negative_gan_lr", "negative_weight_decay", "negative_lambda_cyc",
+            "removed_width_mult", "removed_depth_mult", "removed_lambda_cyc"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
@@ -306,12 +325,12 @@ ONE_ERROR_LINE = re.compile(r"error:[a-z]+: [^\n]*\n")
     (["bogus"], "invalid choice"),
     ([], "required: command"),
     # exponent-notation negatives reach the TrainConfig checks
-    (["pretrain-gan", "--gan-lr", "-5e-4"], "gan_lr, weight_decay"),
-    (["train", "--weight-decay", "-5e-4"], "gan_lr, weight_decay"),
-    (["train", "--lambda-cyc", "-1E+1"], "gan_lr, weight_decay"),
+    (["pretrain-gan", "--gan-lr", "-5e-4"], "gan_lr and weight_decay"),
+    (["train", "--weight-decay", "-5e-4"], "gan_lr and weight_decay"),
+    (["train", "--lr-min", "-1E+1"], "gan_lr and weight_decay"),
 ], ids=["int_typo", "missing_value", "unknown_flag", "missing_required",
         "unknown_command", "no_command", "negative_exponent_gan_lr",
-        "negative_exponent_weight_decay", "negative_exponent_lambda_cyc"])
+        "negative_exponent_weight_decay", "negative_exponent_lr_min"])
 def test_usage_error_is_one_config_line(tmp_path, monkeypatch, capsys, argv,
                                         message):
     monkeypatch.chdir(tmp_path)
@@ -397,8 +416,7 @@ ARGS = st.one_of(st.tuples(st.sampled_from(SWITCHES)),
                  st.tuples(TOKENS))
 # appended last, so they override drawn values and every run stays small
 SMALL_RUN = ["--epochs", "1", "--gan-iterations", "0", "--n-train", "2",
-             "--n-val", "1", "--n-test", "1", "--image-size", "32",
-             "--width-mult", "1", "--depth-mult", "1"]
+             "--n-val", "1", "--n-test", "1", "--image-size", "32"]
 
 
 @settings(max_examples=100, deadline=None,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionseg.config import MAX_MULT, TrainConfig, field_types
+from fusionseg.config import TrainConfig, field_types
 from fusionseg.errors import ConfigurationError
 from fusionseg.segnet import AblationConfig
 
@@ -42,10 +42,8 @@ def test_from_dict_gives_valid_config_or_config_error(known, junk, add_junk):
     except ConfigurationError:
         return
     assert cfg.seed >= 0
-    assert 0 < cfg.width_mult <= MAX_MULT and 0 < cfg.depth_mult <= MAX_MULT
     assert cfg.gan_batch_size >= 1 and cfg.gan_iterations >= 0
-    assert min(cfg.lr_min, cfg.lr_init, cfg.gan_lr, cfg.weight_decay,
-               cfg.lambda_cyc) >= 0
+    assert min(cfg.lr_min, cfg.lr_init, cfg.gan_lr, cfg.weight_decay) >= 0
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         assert type(value) is not float or math.isfinite(value), f.name

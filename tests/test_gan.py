@@ -63,23 +63,18 @@ class TestAdversarialLosses:
 class TestCycleLoss:
     def test_zero_for_identity(self):
         x = Tensor(np.random.default_rng(8).random((1, 1, 4, 4)))
-        assert cycle_loss(x, Tensor(x.data.copy()), 10.0).item() == 0.0
+        assert cycle_loss(x, Tensor(x.data.copy())).item() == 0.0
 
     def test_constant_gap(self):
         x = Tensor(np.zeros((1, 1, 4, 4)))
         rec = Tensor(np.full((1, 1, 4, 4), 0.1))
-        assert cycle_loss(x, rec, 10.0).item() == pytest.approx(1.0)
-
-    def test_zero_lambda(self):
-        x = Tensor(np.random.default_rng(9).random((1, 1, 4, 4)))
-        rec = Tensor(np.random.default_rng(10).random((1, 1, 4, 4)))
-        assert cycle_loss(x, rec, 0.0).item() == 0.0
+        assert cycle_loss(x, rec).item() == pytest.approx(1.0)
 
     def test_grad_check(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.random((1, 1, 3, 3)))
         rec = Tensor(rng.random((1, 1, 3, 3)) + 0.01, requires_grad=True)
-        assert grad_check(lambda t: cycle_loss(x, t, 5.0), rec) < 1e-4
+        assert grad_check(lambda t: cycle_loss(x, t), rec) < 1e-4
 
 
 class TestTrainStep:
@@ -116,7 +111,7 @@ class TestTrainStep:
         bx = toy_batch(rng)
         fake_y = pair.g_xy(bx)
         loss_g = ls_loss(pair.d_y(fake_y), 1.0)
-        loss = T.add(loss_g, cycle_loss(bx, pair.g_yx(fake_y), pair.lambda_cyc))
+        loss = T.add(loss_g, cycle_loss(bx, pair.g_yx(fake_y)))
         loss.backward()
         pair.gen_opt.step(1e-3)
         for before, p in zip(d_before, pair.disc_opt.params):

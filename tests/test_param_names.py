@@ -51,13 +51,6 @@ def test_body_segnet_names():
     assert names(net) == ["lift.w"] + SEGNET_TAIL
 
 
-def test_deep_encoder_stage_names():
-    net = FusionSegNet(AblationConfig(), seed=1, depth_mult=2.0)
-    encoder = [n for n in names(net) if n.startswith("encoder.stage")]
-    assert encoder == [n for i in range(4) for b in range(2)
-                       for n in cbr(f"encoder.stage{i}.b{b}")]
-
-
 def test_gan_pair_names():
     pair = GanPair(seed=0)
     assert names(pair) == (

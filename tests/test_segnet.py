@@ -63,17 +63,6 @@ class TestEncoder:
         assert low.data.shape[2:] == (16, 16)
         assert high.data.shape[2:] == (4, 4)
 
-    def test_width_mult_doubles_channels(self):
-        base = Encoder(4, width_mult=1.0, rng=np.random.default_rng(8))
-        wide = Encoder(4, width_mult=2.0, rng=np.random.default_rng(8))
-        def widths(enc):
-            return [s.b[0].conv.w.data.shape[0] for s in enc.stage]
-        assert widths(wide) == [2 * c for c in widths(base)]
-
-    def test_depth_mult_ceil_repeats(self):
-        deep = Encoder(4, depth_mult=2.0, rng=np.random.default_rng(9))
-        assert all(len(s.b) == 2 for s in deep.stage)
-
     def test_indivisible_dims_rejected(self):
         enc = Encoder(4, rng=np.random.default_rng(10))
         with pytest.raises(DimensionError):

@@ -144,9 +144,10 @@ class TestConv2d:
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12
 
-    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1), (3, 0)])
+    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1)])
     def test_tape_holds_no_extra_input_copy(self, k, padding):
-        # an unpadded conv keeps no copy of its input: backward rebuilds it
+        # a 1x1 conv keeps no copy of its input; a padded one only its
+        # channels-last copy
         rng = np.random.default_rng(8)
         x = rand(rng, 8, 16, 32, 32)
         w = rand(rng, 16, 16, k, k)
