@@ -3,16 +3,19 @@
 Two generators and two discriminators trained alternately with the
 least-squares adversarial loss; at the equilibrium both discriminators score
 real and fake near 0.5. Only the SAR-to-optical generator is consumed
-downstream by the segmentation net.
+downstream by the segmentation net. The generators normalize each image on
+its own, so a translation does not depend on the rest of its batch.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigurationError, DimensionError, DomainError
-from .layers import BatchNorm2d, Conv2d, ConvBNRelu, Module
+from .layers import Conv2d, ConvBNRelu, InstanceNorm2d, Module
 from .tensor import AdamW, Tensor
 
 BASE = 8  # channels of the first conv of every generator and discriminator
@@ -22,9 +25,9 @@ LAMBDA_CYC = 10.0  # weight of each cycle-consistency term (Zhu et al.)
 class ResidualBlock(Module):
     def __init__(self, c, rng):
         self.conv1 = Conv2d(c, c, 3, padding=1, rng=rng)
-        self.bn1 = BatchNorm2d(c)
+        self.bn1 = InstanceNorm2d(c)
         self.conv2 = Conv2d(c, c, 3, padding=1, rng=rng)
-        self.bn2 = BatchNorm2d(c)
+        self.bn2 = InstanceNorm2d(c)
 
     def __call__(self, x):
         h = T.relu(self.bn1(self.conv1(x)))
@@ -35,18 +38,20 @@ class GeneratorNet(Module):
     """Encoder-residual-decoder mapping [B,1,H,W] -> [B,1,H,W] in [0,1].
 
     It halves H and W twice, then doubles them twice: both must divide by 4.
+    Its norms are per image (instance norm), so batching changes no output.
 
     The final conv is zero-initialized, so an untrained generator outputs a
     constant 0.5 everywhere.
     """
 
     def __init__(self, rng):
-        self.down1 = ConvBNRelu(1, BASE, 3, stride=2, padding=1, rng=rng)
-        self.down2 = ConvBNRelu(BASE, 2 * BASE, 3, stride=2, padding=1, rng=rng)
+        block = partial(ConvBNRelu, k=3, padding=1, rng=rng, norm=InstanceNorm2d)
+        self.down1 = block(1, BASE, stride=2)
+        self.down2 = block(BASE, 2 * BASE, stride=2)
         self.res1 = ResidualBlock(2 * BASE, rng)
         self.res2 = ResidualBlock(2 * BASE, rng)
-        self.up1 = ConvBNRelu(2 * BASE, BASE, 3, padding=1, rng=rng)
-        self.up2 = ConvBNRelu(BASE, BASE, 3, padding=1, rng=rng)
+        self.up1 = block(2 * BASE, BASE)
+        self.up2 = block(BASE, BASE)
         self.final = Conv2d(BASE, 1, 1, zero_init=True)
 
     def __call__(self, x):

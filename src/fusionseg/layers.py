@@ -77,12 +77,18 @@ class BatchNorm2d(Module):
         return T.batchnorm2d(x, self.gamma, self.beta)
 
 
-class ConvBNRelu(Module):
-    """conv -> batchnorm -> relu, the stock block of every net here."""
+class InstanceNorm2d(BatchNorm2d):
+    def __call__(self, x):
+        return T.instancenorm2d(x, self.gamma, self.beta)
 
-    def __init__(self, cin, cout, k, stride=1, dilation=1, padding=0, rng=None):
+
+class ConvBNRelu(Module):
+    """conv -> norm (batchnorm by default) -> relu, the stock block of every net."""
+
+    def __init__(self, cin, cout, k, stride=1, dilation=1, padding=0, rng=None,
+                 norm=BatchNorm2d):
         self.conv = Conv2d(cin, cout, k, stride, dilation, padding, rng=rng)
-        self.bn = BatchNorm2d(cout)
+        self.bn = norm(cout)
 
     def __call__(self, x):
         return T.relu(self.bn(self.conv(x)))

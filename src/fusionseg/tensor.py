@@ -228,7 +228,7 @@ def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalizations
 
-BATCHNORM_EPS = 1e-5  # added to the batch variance before its square root
+BATCHNORM_EPS = 1e-5  # added to the variance before its square root
 # guards an L1 denominator; its one caller feeds it softmax output, which is
 # strictly positive, so it can be tiny: sums stay within 1e-9 of 1 even for a
 # single memory unit
@@ -266,13 +266,22 @@ def l1_normalize_axis(x: Tensor, axis: int) -> Tensor:
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-channel normalization using the current batch statistics."""
+    return _normalize2d(x, gamma, beta, (0, 2, 3), "batchnorm2d")
+
+
+def instancenorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-image, per-channel normalization: no image sees the rest of its batch."""
+    return _normalize2d(x, gamma, beta, (2, 3), "instancenorm2d")
+
+
+def _normalize2d(x, gamma, beta, axes, name):
+    """Normalize over ``axes`` with per-channel gamma and beta."""
     if x.data.ndim != 4:
-        raise DimensionError("batchnorm2d expects a 4-d tensor")
+        raise DimensionError(f"{name} expects a 4-d tensor")
     c = x.data.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise DimensionError("gamma/beta must have one entry per channel")
-    axes = (0, 2, 3)
-    n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+    n = int(np.prod([x.data.shape[a] for a in axes]))
     mu = x.data.mean(axis=axes, keepdims=True)
     var = x.data.var(axis=axes, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + BATCHNORM_EPS)
@@ -280,8 +289,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
     def backward(g):
-        dgamma = (g * xhat).sum(axis=axes)
-        dbeta = g.sum(axis=axes)
+        dgamma = (g * xhat).sum(axis=(0, 2, 3))
+        dbeta = g.sum(axis=(0, 2, 3))
         dxhat = g * gamma.data[None, :, None, None]
         dx = (inv_std / n) * (n * dxhat
                               - dxhat.sum(axis=axes, keepdims=True)

@@ -50,9 +50,9 @@ def build_net(config: TrainConfig) -> FusionSegNet:
     return FusionSegNet(config.ablation, seed=config.seed, generator=generator)
 
 
-def batch_losses(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray):
-    """(dice, bce, composite) losses of one batch; masks are [B,H,W] in {0,1}."""
-    logits = net(Tensor(sar))
+def batch_losses(net, x: np.ndarray, masks: np.ndarray):
+    """(dice, bce, composite) losses of ``net(x)``; masks are [B,H,W] in {0,1}."""
+    logits = net(Tensor(x))
     target = Tensor(masks[:, None])
     probs = T.sigmoid(logits)
     dice = dice_loss(probs, target)
@@ -61,17 +61,19 @@ def batch_losses(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray):
 
 
 def _forward_batches(fn, x: np.ndarray, batch_size: int):
-    """Yield (first index, ``fn(batch).data``) per batch, in order, with no tape.
-
-    Every pass over a split cuts it here, so all cut alike: the generator's
-    batch norm uses batch statistics, so its output depends on the chunk.
-    """
+    """Yield (first index, ``fn(batch).data``) per batch, in order, with no tape."""
     for start in range(0, len(x), batch_size):
         # only the call: a block held open across the yield would leave the
         # tape off in the caller's code too
         with T.no_grad():
             out = fn(Tensor(x[start:start + batch_size])).data
         yield start, out
+
+
+def _stitch_split(net, sar: np.ndarray, batch_size: int):
+    """``net.stitch`` of a whole split, batch by batch; None for an empty one."""
+    parts = [x for _, x in _forward_batches(net.stitch, sar, batch_size)]
+    return np.concatenate(parts) if parts else None
 
 
 def predicted_masks(net, sar: np.ndarray, batch_size: int):
@@ -115,10 +117,10 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
     opt = AdamW(net.named_params(), config.weight_decay)
     rng = np.random.Generator(np.random.PCG64(config.seed + 7))
     records = []
-    # the generator is frozen, so one stitch of the val split serves every epoch
-    val_inputs = [x for _, x in
-                  _forward_batches(net.stitch, sar_val, config.batch_size)]
-    val_inputs = np.concatenate(val_inputs) if val_inputs else None
+    # the generator is frozen and per-image, so one stitch of each split
+    # serves every epoch and every batch cut from it
+    train_inputs = _stitch_split(net, sar_train, config.batch_size)
+    val_inputs = _stitch_split(net, sar_val, config.batch_size)
     best_fwiou = -1.0
     with open(metrics_path or os.devnull, "w") as metrics_file:
         for epoch in range(config.epochs):
@@ -129,7 +131,7 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
             for start in range(0, len(order), config.batch_size):
                 idx = order[start:start + config.batch_size]
                 dice, bce, comp = batch_losses(
-                    net, sar_train[idx], mask_train[idx])
+                    net.body, train_inputs[idx], mask_train[idx])
                 if not np.isfinite(comp.item()):
                     raise DomainError(
                         f"non-finite composite loss at epoch {epoch}")
@@ -143,7 +145,10 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
             if val_inputs is not None:
                 val = evaluate(net.body, val_inputs, mask_val, config.batch_size)
             else:  # the loss predates the step: a forward catches overflowed weights
-                next(predicted_masks(net, sar_train[idx], config.batch_size))
+                with T.no_grad():
+                    logits = net.body(Tensor(train_inputs[idx])).data
+                if not np.isfinite(logits).all():
+                    raise DomainError(f"non-finite logits after epoch {epoch}")
             record = {
                 "epoch": epoch,
                 "train_loss": {"dice": dice_sum / n_batches,

@@ -162,6 +162,7 @@ class TestTrainCmd:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:domain:") and ONE_ERROR_LINE.fullmatch(err)
+        assert "non-finite logits after epoch 0" in err
         assert not (out / "last.ckpt").exists()
 
 

@@ -35,6 +35,19 @@ class TestGenerator:
         with pytest.raises(DimensionError):
             g(Tensor(np.zeros((1, 2, 16, 16))))
 
+    def test_trained_output_does_not_depend_on_the_batch(self):
+        # trained, so the output is not the constant 0.5 of the untrained net
+        sets = np.random.default_rng(7).random((2, 8, 1, 16, 16))
+        g = pretrain_gan(sets[0], sets[1], 10, seed=8).g_xy
+        x = sets[0]
+        batched = g(Tensor(x)).data
+        assert batched.std() > 1e-3
+        # within rounding, not bitwise: BLAS may block a GEMM differently
+        # at another batch size
+        for i in range(len(x)):
+            np.testing.assert_allclose(g(Tensor(x[i:i + 1])).data[0],
+                                       batched[i], rtol=0, atol=1e-12)
+
 
 class TestAdversarialLosses:
     def test_perfect_discriminator(self):

@@ -407,6 +407,11 @@ OPS = {
     "abs": lambda t: T.reduce_sum(T.mul(T.absolute(t), T.absolute(t))),
     "softplus": lambda t: T.reduce_sum(T.mul(T.softplus(t), T.softplus(t))),
     "div": lambda t: T.reduce_sum(T.div(T.mul(t, t), T.scale(T.sigmoid(t), 1.0, 1.0))),
+    # 2 images x 2 channels x 3 pixels, weighted so the sum is not constant
+    "instancenorm2d": lambda t: T.reduce_sum(T.mul(
+        T.instancenorm2d(T.reshape(t, (2, 2, 1, 3)), Tensor([1.5, -0.5]),
+                         Tensor([0.2, 0.1])),
+        T.reshape(T.sigmoid(t), (2, 2, 1, 3)))),
 }
 
 
@@ -418,6 +423,40 @@ def test_elementwise_grad_check(name):
         x = Tensor(rng.normal(size=(3, 4)) + 0.1, requires_grad=True)
         worst = max(worst, grad_check(OPS[name], x))
     assert worst < 1e-4
+
+
+class TestInstanceNorm:
+    def normalized(self, op, x, gamma, beta, weights):
+        """Output and the gradients of x, gamma and beta under a fixed weighting."""
+        x, gamma, beta = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        out = op(x, gamma, beta)
+        T.reduce_sum(T.mul(out, Tensor(weights))).backward()
+        return out.data, x.grad, gamma.grad, beta.grad
+
+    def test_equals_batchnorm_at_batch_one(self):
+        # so a GAN trained at batch 1 trains as it did with batch norm
+        rng = np.random.default_rng(0)
+        args = (rng.normal(size=(1, 3, 5, 4)), rng.normal(size=3),
+                rng.normal(size=3), rng.normal(size=(1, 3, 5, 4)))
+        for a, b in zip(self.normalized(T.instancenorm2d, *args),
+                        self.normalized(T.batchnorm2d, *args)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_image_alone_equals_its_row_of_the_batch(self):
+        rng = np.random.default_rng(1)
+        # images of different scales, so batch statistics differ from each one's
+        x = Tensor(rng.normal(size=(4, 3, 5, 4)) * np.arange(1, 5)[:, None, None, None])
+        gamma, beta = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
+        batched = T.instancenorm2d(x, gamma, beta).data
+        alone = T.instancenorm2d(Tensor(x.data[:1]), gamma, beta).data
+        np.testing.assert_allclose(alone[0], batched[0], rtol=0, atol=1e-12)
+        # batch norm, by contrast, mixes the images
+        assert not np.allclose(T.batchnorm2d(x, gamma, beta).data[0], batched[0])
+
+    def test_rejects_non_4d(self):
+        with pytest.raises(DimensionError):
+            T.instancenorm2d(Tensor(np.zeros((3, 4))), Tensor(np.ones(4)),
+                             Tensor(np.zeros(4)))
 
 
 def test_determinism_same_seed():

@@ -12,7 +12,7 @@ from fusionseg.gan import GeneratorNet, pretrain_gan
 from fusionseg.segnet import AblationConfig, FusionSegNet
 from fusionseg.synthdata import SceneSpec, load_split, make_dataset
 from fusionseg.tensor import Tensor
-from fusionseg.training import evaluate, export_maps, train
+from fusionseg.training import batch_losses, evaluate, export_maps, train
 
 N_TRAIN, N_VAL, BATCH, EPOCHS = 5, 5, 2, 3
 
@@ -25,14 +25,14 @@ def full_config(tmp_path_factory):
     make_dataset(SceneSpec(image_size=32, seed=4), data, N_TRAIN, N_VAL, 0, 4)
     sar, _, optical = load_split(data, "train")
     # trained a few steps, so the generator's output is not the constant 0.5
-    # of its zero-initialized last conv and depends on its batch
+    # of its zero-initialized last conv
     pretrain_gan(sar, optical, 3, seed=4, checkpoint_path=root / "gan.ckpt")
     return TrainConfig(epochs=EPOCHS, batch_size=BATCH, seed=4, image_size=32,
                        data_dir=str(data), gan_checkpoint=str(root / "gan.ckpt"),
                        ablation=AblationConfig(True, True, True))
 
 
-def test_generator_runs_once_on_the_val_split(full_config, monkeypatch):
+def test_generator_runs_once_on_each_split(full_config, monkeypatch):
     calls = []
     forward = GeneratorNet.__call__
 
@@ -42,9 +42,29 @@ def test_generator_runs_once_on_the_val_split(full_config, monkeypatch):
 
     monkeypatch.setattr(GeneratorNet, "__call__", counted)
     train(full_config, log=None)
-    per_epoch = math.ceil(N_TRAIN / BATCH)
-    assert len(calls) == EPOCHS * per_epoch + math.ceil(N_VAL / BATCH)
-    assert sum(calls) == EPOCHS * N_TRAIN + N_VAL
+    # one stitch of each split per call, cut into batches; no epoch re-runs it
+    assert len(calls) == math.ceil(N_TRAIN / BATCH) + math.ceil(N_VAL / BATCH)
+    assert sum(calls) == N_TRAIN + N_VAL
+
+
+def test_cached_train_rows_equal_stitching_the_shuffled_batch(full_config,
+                                                               monkeypatch):
+    inputs = []
+
+    def recorded(model, x, *args):
+        inputs.append(x)
+        return batch_losses(model, x, *args)
+
+    monkeypatch.setattr(training, "batch_losses", recorded)
+    net, _ = train(full_config, log=None)
+    sar, _, _ = load_split(full_config.data_dir, "train")
+    x = inputs[-2]  # a full batch of the last epoch
+    # channel 0 of a combined input is the SAR image itself
+    idx = [int(np.flatnonzero((sar[:, 0] == row).all(axis=(1, 2)))[0])
+           for row in x[:, 0]]
+    assert len(x) == BATCH and idx != list(range(idx[0], idx[0] + BATCH))
+    np.testing.assert_allclose(net.body(Tensor(x)).data,
+                               net(Tensor(sar[idx])).data, rtol=0, atol=1e-12)
 
 
 def test_val_record_matches_evaluate_on_the_returned_net(full_config,
