@@ -159,13 +159,29 @@ def _channels_last(a, padding):
     return out
 
 
+# most bytes of one [nb,Ho,Wo,channels] product buffer in conv2d, so that a
+# block's buffers stay in a core's 2 MB L2 cache; a block is at least one
+# image. Swept on seg-infer from 64 KB to 16 MB: 64-512 KB ran alike, and
+# from 1 MB up each doubling ran slower.
+CONV_BLOCK_BYTES = 256 * 1024
+
+
 def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
     """Dilated, strided, zero-padded 2-d convolution as one GEMM per tap.
 
     The input is copied once, channels-last, so each tap (i, j) is a strided
     window ``[B,Ho,Wo,C]`` times ``w[:, :, i, j].T`` (``[C,O]``), a GEMM with
-    no im2col buffer; the products sum into one ``[B,Ho,Wo,O]`` buffer, and
-    the tape keeps the copy for backward.
+    no im2col buffer; the tape keeps the copy for backward.
+
+    The taps run over blocks of whole images, so that a block's product
+    buffer (``[nb,Ho,Wo,O]`` forward, ``[nb,Ho,Wo,C]`` for the input
+    gradient) fits in ``CONV_BLOCK_BYTES``. Forward, tap 0 writes the
+    block's accumulator, every other tap writes one reused product buffer
+    that is then added in, and the block is copied into the NCHW output; the
+    input gradient adds its taps into the padded gradient in the same blocks.
+    The weight gradient is one GEMM per tap over the whole batch, each window
+    copied into one reused buffer. An image's output and input gradient are
+    the same bits at any block size.
 
     An unstrided, unpadded 1x1 conv copies nothing: NCHW viewed as
     ``[B,C,H*W]`` is one ``[O,C] x [B,C,H*W]`` ``matmul``, whose tape gives
@@ -199,19 +215,36 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
             for i in range(k) for j in range(k)]
     xc = _channels_last(x.data, padding)
     wk = w.data.transpose(2, 3, 1, 0).copy()  # tap (i, j) -> [C, O]
-    acc = np.zeros((b, hout, wout, cout))
-    for i, j, sl in taps:
-        acc += xc[sl] @ wk[i, j]
-    out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+    nb = min(b, max(1, CONV_BLOCK_BYTES // (hout * wout * max(cin, cout) * 8)))
+    blocks = [slice(s, s + nb) for s in range(0, b, nb)]
+    out = np.empty((b, cout, hout, wout))
+    acc, prod = np.empty((nb, hout, wout, cout)), np.empty((nb, hout, wout, cout))
+    for blk in blocks:
+        xb = xc[blk]
+        a, p = acc[:len(xb)], prod[:len(xb)]
+        (i, j, sl), *rest = taps
+        np.matmul(xb[sl], wk[i, j], out=a)
+        for i, j, sl in rest:
+            np.matmul(xb[sl], wk[i, j], out=p)
+            a += p
+        out[blk] = a.transpose(0, 3, 1, 2)
 
     def backward(g):
         g4 = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
         g2d = g4.reshape(-1, cout)
-        dxc = np.zeros_like(xc)
+        window = np.empty((b, hout, wout, cin))
         dw = np.empty((cout, cin, k, k))
         for i, j, sl in taps:
-            dw[:, :, i, j] = g2d.T @ xc[sl].reshape(-1, cin)
-            dxc[sl] += g4 @ w.data[:, :, i, j]
+            np.copyto(window, xc[sl])
+            dw[:, :, i, j] = g2d.T @ window.reshape(-1, cin)
+        dxc = np.zeros_like(xc)
+        buf = np.empty((nb, hout, wout, cin))
+        for blk in blocks:
+            gb, db = g4[blk], dxc[blk]
+            p = buf[:len(gb)]
+            for i, j, sl in taps:
+                np.matmul(gb, w.data[:, :, i, j], out=p)
+                db[sl] += p
         dx = dxc[:, padding:padding + h, padding:padding + wd].transpose(0, 3, 1, 2)
         return (np.ascontiguousarray(dx), dw)
 

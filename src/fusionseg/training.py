@@ -219,6 +219,8 @@ def format_ablation_table(rows) -> str:
 def export_maps(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray,
                 out_dir, batch_size: int = 8):
     """Thresholded {0,255} prediction masks plus input/truth/pred montages."""
+    if len(sar) == 0:
+        raise DomainError("cannot export maps of an empty split")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

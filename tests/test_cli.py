@@ -231,6 +231,24 @@ class TestExportMaps:
             assert set(np.unique(img)) <= {0, 255}
             assert p.read_bytes() == (tmp_path / "m2" / p.name).read_bytes()
 
+    def test_empty_split_is_domain_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--data-dir", str(data), "--image-size", "32",
+                     "--n-train", "2", "--n-val", "0", "--n-test", "0"]) == 0
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, [(n, p.data) for n, p in
+                               build_net(TrainConfig()).named_params()])
+        capsys.readouterr()
+        maps = tmp_path / "maps"
+        rc = main(["export-maps", "--data-dir", str(data),
+                   "--checkpoint", str(path), "--split", "test",
+                   "--maps-dir", str(maps)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:domain:") and err.count("\n") == 1
+        assert "empty split" in err
+        assert not maps.exists()
+
 
 class TestAblateCmd:
     def test_four_row_table(self, tiny_data, tmp_path, capsys):

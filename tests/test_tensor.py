@@ -52,6 +52,10 @@ class TestMatmul:
             T.matmul(Tensor(np.ones(shapes[0])), Tensor(np.ones(shapes[1])))
 
 
+CONV_CASES = [(k, s, d, p) for k in (1, 3) for s in (1, 2) for d in (1, 2, 4)
+              for p in sorted({0, 1, d})]
+
+
 def direct_conv(x, w, g, stride, dilation, padding):
     """Output and both gradients (for upstream g) by a nested-loop direct conv."""
     b, _, h, wd = x.shape
@@ -127,11 +131,8 @@ class TestConv2d:
         loss(None).backward()
         assert np.all(x.grad[:, :, -1, :] == 0) and np.all(x.grad[:, :, :, -1] == 0)
 
-    @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("k,stride,dilation,padding", [
-        (k, s, d, p) for k in (1, 3) for s in (1, 2) for d in (1, 2, 4)
-        for p in sorted({0, 1, d})])
-    def test_matches_direct_conv(self, batch, k, stride, dilation, padding):
+    @staticmethod
+    def check_direct(batch, k, stride, dilation, padding):
         rng = np.random.default_rng(7)
         x = rand(rng, batch, 3, 11, 10)
         w = rand(rng, 5, 3, k, k)
@@ -143,6 +144,62 @@ class TestConv2d:
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert got.shape == want.shape
             assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("k,stride,dilation,padding", CONV_CASES)
+    def test_matches_direct_conv(self, batch, k, stride, dilation, padding):
+        self.check_direct(batch, k, stride, dilation, padding)
+
+    @pytest.mark.parametrize("per_block", [1, 2])
+    @pytest.mark.parametrize("k,stride,dilation,padding", CONV_CASES)
+    def test_blocks_match_direct_conv(self, monkeypatch, per_block, k, stride,
+                                      dilation, padding):
+        # 3 images in blocks of one, or of two and a short last block; the
+        # 5 output channels are the larger product of the two directions
+        ho = T.conv_output_extent(11, k, stride, dilation, padding)
+        wo = T.conv_output_extent(10, k, stride, dilation, padding)
+        monkeypatch.setattr(T, "CONV_BLOCK_BYTES", per_block * ho * wo * 5 * 8)
+        self.check_direct(3, k, stride, dilation, padding)
+
+    def test_blocks_give_the_same_bits(self, monkeypatch):
+        # 4 channels at 16x16 are 8 KB an image, so 5 images run in blocks
+        # of 2, 2 and 1; one block, or one image alone, gives the same bits
+        rng = np.random.default_rng(9)
+        x0, w0 = rng.normal(size=(5, 4, 16, 16)), rng.normal(size=(4, 4, 3, 3))
+        g = rng.normal(size=(5, 4, 16, 16))
+
+        def run(block_bytes, rows=slice(None)):
+            monkeypatch.setattr(T, "CONV_BLOCK_BYTES", block_bytes)
+            x = Tensor(x0[rows], requires_grad=True)
+            w = Tensor(w0, requires_grad=True)
+            out = T.conv2d(x, w, padding=1)
+            T.reduce_sum(T.mul(out, Tensor(g[rows]))).backward()
+            return out.data, x.grad, w.grad
+
+        blocked, whole = run(3 * 8192 - 1), run(5 * 8192)
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want)
+        for i in range(5):
+            alone = run(5 * 8192, slice(i, i + 1))
+            assert np.array_equal(alone[0], whole[0][i:i + 1])
+            assert np.array_equal(alone[1], whole[1][i:i + 1])
+
+    def test_forward_working_memory(self):
+        # blocks keep the per-tap products in cache-sized buffers: beyond its
+        # output and padded channels-last copy, the forward peaks under 1 MB
+        # (a whole-batch [8,64,64,8] product is 2 MB)
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(8, 8, 64, 64)))
+        w = Tensor(rng.normal(size=(8, 8, 3, 3)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.conv2d(x, w, padding=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        padded = 8 * 66 * 66 * 8 * 8
+        assert peak - out.data.nbytes - padded < 2**20
 
     @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1)])
     def test_tape_holds_no_extra_input_copy(self, k, padding):
