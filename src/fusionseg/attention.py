@@ -5,7 +5,9 @@ Features are ``[..., d, N]``, which is NCHW memory viewed as
 map is computed against small learnable key/value memories shared across
 the dataset, so its footprint is S x N (linear in pixel count), never N x N.
 Normalization is a softmax over pixels followed by an L1 normalization over
-memory units.
+memory units. ``tensor.external_attention`` runs the whole read-out as one
+tape op, one image at a time; ``double_normalize`` is the same normalization
+as two ops, the reference that op is tested against.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ def external_attention_forward(att: ExternalAttention, f: Tensor) -> Tensor:
     if f.data.ndim < 2 or f.data.shape[-2] != att.d:
         raise DimensionError(
             f"feature dim mismatch: {f.data.shape} vs d={att.d}")
-    weights = double_normalize(T.matmul(att.m_k, f))
-    return T.matmul(T.transpose2d(att.m_v), weights)
+    return T.external_attention(f, att.m_k, att.m_v)
 
 
 class AttentionStage(Module):

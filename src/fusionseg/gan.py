@@ -55,6 +55,10 @@ class GeneratorNet(Module):
         self.final = Conv2d(BASE, 1, 1, zero_init=True)
 
     def __call__(self, x):
+        return T.sigmoid(self.logits(x))
+
+    def logits(self, x):
+        """The pre-sigmoid output."""
         if x.data.ndim != 4 or x.data.shape[1] != 1:
             raise DimensionError("generator expects a [B,1,H,W] input")
         height, width = x.data.shape[2:]
@@ -65,7 +69,7 @@ class GeneratorNet(Module):
         h = self.res2(self.res1(h))
         h = self.up1(T.upsample_nearest(h, 2))
         h = self.up2(T.upsample_nearest(h, 2))
-        return T.sigmoid(self.final(h))
+        return self.final(h)
 
 
 class DiscriminatorNet(Module):
@@ -162,6 +166,13 @@ def pretrain_gan(x_set: np.ndarray, y_set: np.ndarray, iterations: int,
             raise DomainError(f"non-finite GAN loss at iteration {it}")
         if log_fn is not None:
             log_fn(it, record)
+    # the losses predate each step: a forward catches overflowed weights
+    if iterations > 0:
+        with T.no_grad():
+            finite = np.isfinite(pair.g_xy.logits(Tensor(x_set[xi])).data).all()
+        if not finite:
+            raise DomainError(
+                f"non-finite generator output after iteration {iterations - 1}")
     if checkpoint_path is not None:
         pair.save(checkpoint_path)
     return pair

@@ -102,8 +102,13 @@ def no_grad():
         _recording = previous
 
 
+def _records(parents):
+    """True when an op on ``parents`` records a tape node."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def _node(data, parents, backward_fn):
-    requires = _recording and any(p.requires_grad for p in parents)
+    requires = _records(parents)
     return Tensor(data, requires_grad=requires,
                   _parents=parents if requires else (),
                   _backward_fn=backward_fn if requires else None)
@@ -262,9 +267,9 @@ def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:
 # normalizations
 
 BATCHNORM_EPS = 1e-5  # added to the variance before its square root
-# guards an L1 denominator; its one caller feeds it softmax output, which is
-# strictly positive, so it can be tiny: sums stay within 1e-9 of 1 even for a
-# single memory unit
+# guards an L1 denominator; external attention feeds it softmax output, which
+# is strictly positive, so it can be tiny: sums stay within 1e-9 of 1 even for
+# a single memory unit
 L1_EPS = 1e-300
 
 
@@ -295,6 +300,76 @@ def l1_normalize_axis(x: Tensor, axis: int) -> Tensor:
         return ((g - dot) / denom,)
 
     return _node(out, (x,), backward)
+
+
+def external_attention(f: Tensor, m_k: Tensor, m_v: Tensor) -> Tensor:
+    """``M_v^T . L1_S(softmax_N(M_k . F))`` for features ``[..., d, N]``.
+
+    ``m_k`` is ``[S, d]`` and ``m_v`` is ``[S, d_v]``; the output is
+    ``[..., d_v, N]``. One matrix of the flattened leading axes runs at a
+    time, so its ``[S, N]`` map stays in cache, and every step writes into a
+    reused or preallocated buffer. The tape keeps only the softmax output
+    ``P`` and the L1 denominator; backward recomputes the weights
+    ``P / denom`` per matrix. The output and the gradients are the same bits
+    as ``matmul(transpose2d(m_v), l1_normalize_axis(softmax_axis(
+    matmul(m_k, f), -1), -2))``.
+    """
+    if (m_k.data.ndim != 2 or m_v.data.ndim != 2 or f.data.ndim < 2
+            or m_v.data.shape[0] != m_k.data.shape[0]
+            or f.data.shape[-2] != m_k.data.shape[1]):
+        raise DimensionError("external_attention shape mismatch: "
+                             f"f {f.data.shape}, m_k {m_k.data.shape}, "
+                             f"m_v {m_v.data.shape}")
+    s, d = m_k.data.shape
+    dv, npix = m_v.data.shape[1], f.data.shape[-1]
+    f3 = f.data.reshape(-1, d, npix)
+    n = len(f3)
+    taped = _records((f, m_k, m_v))
+    mvt = m_v.data.T.copy()
+    # taped: every matrix's softmax and denominator are kept for backward;
+    # otherwise one slot of each is reused
+    p = np.empty((n if taped else 1, s, npix))
+    denom = np.empty((n if taped else 1, 1, npix))
+    w = np.empty((s, npix))
+    out = np.empty((n, dv, npix))
+    for i in range(n):
+        pi, di = (p[i], denom[i]) if taped else (p[0], denom[0])
+        np.matmul(m_k.data, f3[i], out=pi)
+        pi -= pi.max(axis=1, keepdims=True)
+        np.exp(pi, out=pi)
+        pi /= pi.sum(axis=1, keepdims=True)
+        np.sum(pi, axis=0, keepdims=True, out=di)
+        di += L1_EPS
+        np.divide(pi, di, out=w)
+        np.matmul(mvt, w, out=out[i])
+
+    def backward(g):
+        # g is read only: add() hands the same array to both of its parents
+        g3 = g.reshape(n, dv, npix)
+        df = np.empty(f3.shape)
+        dmk, dmvt = np.empty((s, d)), np.empty((dv, s))
+        tk, tv = np.empty((s, d)), np.empty((dv, s))
+        w, dw, tmp = (np.empty((s, npix)) for _ in range(3))
+        for i in range(n):
+            np.divide(p[i], denom[i], out=w)
+            # batch sums run in image order, first term copied, as sum(axis=0)
+            np.matmul(g3[i], w.T, out=tv if i else dmvt)
+            np.matmul(mvt.T, g3[i], out=dw)
+            np.multiply(dw, w, out=tmp)  # L1 backward
+            dw -= tmp.sum(axis=0, keepdims=True)
+            dw /= denom[i]
+            np.multiply(dw, p[i], out=tmp)  # softmax backward
+            dw -= tmp.sum(axis=1, keepdims=True)
+            dw *= p[i]
+            np.matmul(dw, f3[i].T, out=tk if i else dmk)
+            np.matmul(m_k.data.T, dw, out=df[i])
+            if i:
+                dmvt += tv
+                dmk += tk
+        return (df.reshape(f.data.shape), dmk, dmvt.T.copy())
+
+    return _node(out.reshape(f.data.shape[:-2] + (dv, npix)), (f, m_k, m_v),
+                 backward)
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

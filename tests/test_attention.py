@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -98,6 +99,61 @@ class TestExternalAttentionForward:
                             for fi in f])
         assert out.shape == (3, 4, 7)
         assert np.abs(out - stacked).max() < 1e-12
+
+
+def composed(f, m_k, m_v):
+    """External attention as the five ops it replaces."""
+    return T.matmul(T.transpose2d(m_v), double_normalize(T.matmul(m_k, f)))
+
+
+class TestExternalAttentionOp:
+    @staticmethod
+    def run(op, shape, s, seed):
+        """Output and the gradients of f, m_k, m_v behind a residual add."""
+        rng = np.random.default_rng(seed)
+        f = Tensor(rng.normal(size=shape) * 3, requires_grad=True)
+        m_k = Tensor(rng.normal(size=(s, shape[-2])), requires_grad=True)
+        m_v = Tensor(rng.normal(size=(s, shape[-2])), requires_grad=True)
+        out = op(f, m_k, m_v)
+        g = Tensor(rng.normal(size=out.data.shape))
+        # add() hands one gradient array to both parents, as in the stage
+        T.reduce_sum(T.mul(T.add(out, f), g)).backward()
+        return out.data, f.grad, m_k.grad, m_v.grad
+
+    @pytest.mark.parametrize("shape, s", [
+        ((3, 7), 4),            # one [d,N] matrix
+        ((3, 4, 7), 5),         # [B,d,N]
+        ((2, 3, 4, 6), 5),      # [2,3,d,N]
+        ((2, 4, 5), 1),         # one memory unit
+        ((3, 4, 1), 6),         # one pixel
+        ((2, 8, 4096), 16),     # the full model's stage at 64 px
+    ])
+    def test_bitwise_equal_to_composition(self, shape, s):
+        got = self.run(T.external_attention, shape, s, seed=sum(shape) + s)
+        want = self.run(composed, shape, s, seed=sum(shape) + s)
+        assert got[0].shape == shape
+        for a, e in zip(got, want):
+            assert np.array_equal(a, e)
+
+    def test_no_grad_records_nothing(self):
+        rng = np.random.default_rng(16)
+        f = Tensor(rng.normal(size=(3, 4, 7)), requires_grad=True)
+        m_k, m_v = (Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+                    for _ in range(2))
+        with T.no_grad():
+            out = T.external_attention(f, m_k, m_v)
+        assert out._parents == () and not out.requires_grad
+        assert np.array_equal(out.data, composed(f, m_k, m_v).data)
+
+    @pytest.mark.parametrize("f, m_k, m_v", [
+        ((3, 4, 7), (5, 3), (5, 4)),   # d of f is not m_k's width
+        ((4, 7), (5, 4), (6, 4)),      # key and value unit counts differ
+        ((7,), (5, 7), (5, 7)),        # features are not a matrix
+        ((4, 7), (5, 4, 1), (5, 4)),   # 3-d key memory
+    ])
+    def test_shape_mismatch(self, f, m_k, m_v):
+        with pytest.raises(DimensionError):
+            T.external_attention(*(Tensor(np.zeros(s)) for s in (f, m_k, m_v)))
 
 
 class TestAttentionStage:
@@ -204,16 +260,27 @@ class TestAttentionStageLayout:
             assert a.shape == e.shape
             assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max()
 
-    def test_taped_forward_peak(self):
-        # batch 8 at 64 px, the full model's 2 -> 8 -> 8 stage: 21.2 MB
-        # pixels-last, 29.6 MB when the stage transposed to [B,N,d] and back
+    @staticmethod
+    def stage_peak(no_grad):
+        """tracemalloc peak of one batch-8, 64-px pass of the full model's
+        2 -> 8 -> 8 stage."""
         rng = np.random.default_rng(15)
         stage = AttentionStage(2, 8, 8, s=16, rng=rng)
         x = Tensor(rng.normal(size=(8, 2, 64, 64)))
         tracemalloc.start()
         try:
-            stage(x)
-            peak = tracemalloc.get_traced_memory()[1]
+            with T.no_grad() if no_grad else nullcontext():
+                stage(x)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+
+    def test_taped_forward_peak(self):
+        # 12.9 MB with the one-op attention, which keeps only the softmax and
+        # its L1 denominator; 21.2 MB as five taped ops, 29.6 MB when the
+        # stage transposed to [B,N,d] and back
+        assert self.stage_peak(no_grad=False) < 16e6
+
+    def test_no_grad_forward_peak(self):
+        # 6.3 MB: one image's [S,N] map at a time; 18.9 MB as five ops
+        assert self.stage_peak(no_grad=True) < 8e6

@@ -112,6 +112,22 @@ class TestPretrainGanCmd:
         assert err.startswith("error:dimension:") and ONE_ERROR_LINE.fullmatch(err)
         assert "divisible by 4" in err and "H=6, W=6" in err
 
+    # the last step overflows the generator's weights while the losses,
+    # taken before it, stay finite; numpy warns on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_last_step_is_domain_error(self, tmp_path, capsys):
+        data, ckpt = tmp_path / "data", tmp_path / "g.ckpt"
+        assert main(["gen-data", "--data-dir", str(data), "--n-train", "6",
+                     "--n-val", "2", "--n-test", "2", "--seed", "3"]) == 0
+        rc = main(["pretrain-gan", "--data-dir", str(data),
+                   "--gan-iterations", "1", "--gan-lr", "1.7e308",
+                   "--gan-checkpoint", str(ckpt)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:domain:") and ONE_ERROR_LINE.fullmatch(err)
+        assert "non-finite generator output after iteration 0" in err
+        assert not ckpt.exists()
+
 
 class TestTrainCmd:
     def test_one_epoch_one_record(self, tiny_data, tmp_path):

@@ -30,6 +30,13 @@ class TestGenerator:
         out = g(toy_batch(np.random.default_rng(5)))
         assert np.allclose(out.data, 0.5)
 
+    def test_call_is_sigmoid_of_logits(self):
+        g = GeneratorNet(np.random.default_rng(9))
+        g.final.w.data[:] = np.random.default_rng(10).normal(
+            size=g.final.w.data.shape)
+        x = toy_batch(np.random.default_rng(11))
+        assert np.array_equal(g(x).data, T.sigmoid(g.logits(x)).data)
+
     def test_rejects_multichannel(self):
         g = GeneratorNet(np.random.default_rng(6))
         with pytest.raises(DimensionError):

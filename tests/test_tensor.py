@@ -448,6 +448,17 @@ class TestGradCheck:
         assert grad_check(lambda t: Tensor(0.0), x) == 0.0
 
 
+# fixed operands of external attention: a batched [2,3,5] feature map,
+# four memory units of width 3
+_EA = np.random.default_rng(21)
+EA_F, EA_MK, EA_MV = (Tensor(_EA.normal(size=shape))
+                      for shape in ((2, 3, 5), (4, 3), (4, 3)))
+
+
+def _sq_sum(x):
+    return T.reduce_sum(T.mul(x, x))
+
+
 OPS = {
     "matmul": lambda t: T.reduce_sum(T.mul(T.matmul(t, T.transpose2d(t)),
                                            T.matmul(t, T.transpose2d(t)))),
@@ -469,6 +480,13 @@ OPS = {
         T.instancenorm2d(T.reshape(t, (2, 2, 1, 3)), Tensor([1.5, -0.5]),
                          Tensor([0.2, 0.1])),
         T.reshape(T.sigmoid(t), (2, 2, 1, 3)))),
+    # each operand of external attention in turn, features [2,3,2] or [2,3,5]
+    "external_attention_f": lambda t: _sq_sum(
+        T.external_attention(T.reshape(t, (2, 3, 2)), EA_MK, EA_MV)),
+    "external_attention_m_k": lambda t: _sq_sum(
+        T.external_attention(EA_F, T.reshape(t, (4, 3)), EA_MV)),
+    "external_attention_m_v": lambda t: _sq_sum(
+        T.external_attention(EA_F, EA_MK, T.reshape(t, (4, 3)))),
 }
 
 
