@@ -3,8 +3,9 @@
 Two generators and two discriminators trained alternately with the
 least-squares adversarial loss; at the equilibrium both discriminators score
 real and fake near 0.5. Only the SAR-to-optical generator is consumed
-downstream by the segmentation net. The generators normalize each image on
-its own, so a translation does not depend on the rest of its batch.
+downstream by the segmentation net. Every net normalizes each image on its
+own (instance norm), so neither a translation nor a score depends on the
+rest of its batch.
 """
 
 from __future__ import annotations
@@ -73,11 +74,16 @@ class GeneratorNet(Module):
 
 
 class DiscriminatorNet(Module):
-    """Strided-conv patch classifier; scores squashed to (0,1)."""
+    """Strided-conv patch classifier; scores squashed to (0,1).
+
+    Its norms are per image, as the generators' are.
+    """
 
     def __init__(self, rng):
-        self.c1 = ConvBNRelu(1, BASE, 3, stride=2, padding=1, rng=rng)
-        self.c2 = ConvBNRelu(BASE, 2 * BASE, 3, stride=2, padding=1, rng=rng)
+        block = partial(ConvBNRelu, k=3, stride=2, padding=1, rng=rng,
+                        norm=InstanceNorm2d)
+        self.c1 = block(1, BASE)
+        self.c2 = block(BASE, 2 * BASE)
         self.head = Conv2d(2 * BASE, 1, 3, padding=1, rng=rng)
 
     def __call__(self, x):

@@ -171,22 +171,54 @@ def _channels_last(a, padding):
 CONV_BLOCK_BYTES = 256 * 1024
 
 
+def _block_images(b, hout, wout, channels):
+    """Images per block, so that ``[nb,Ho,Wo,channels]`` fits ``CONV_BLOCK_BYTES``."""
+    return min(b, max(1, CONV_BLOCK_BYTES // (hout * wout * channels * 8)))
+
+
+def _conv_blocks(xc, wk, taps, out):
+    """Padded channels-last ``[B,Hp,Wp,C]`` times ``[T,C,O]`` taps into NCHW ``out``.
+
+    ``taps`` holds T window slices of ``xc``, each ``[B,Ho,Wo,C]`` for the
+    ``[B,O,Ho,Wo]`` output, which may be a strided view. Per block of whole
+    images, tap 0 writes the block's accumulator, every other tap writes one
+    reused product buffer that is then added in, and the block is copied into
+    ``out``. An image's output is the same bits at any block size.
+    """
+    b, _, c, o = len(xc), *wk.shape
+    hout, wout = out.shape[2:]
+    nb = _block_images(b, hout, wout, max(c, o))
+    acc, prod = np.empty((nb, hout, wout, o)), np.empty((nb, hout, wout, o))
+    for s in range(0, b, nb):
+        xb = xc[s:s + nb]
+        a, p = acc[:len(xb)], prod[:len(xb)]
+        np.matmul(xb[taps[0]], wk[0], out=a)
+        for sl, wt in zip(taps[1:], wk[1:]):
+            np.matmul(xb[sl], wt, out=p)
+            a += p
+        out[s:s + nb] = a.transpose(0, 3, 1, 2)
+
+
 def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
     """Dilated, strided, zero-padded 2-d convolution as one GEMM per tap.
 
     The input is copied once, channels-last, so each tap (i, j) is a strided
     window ``[B,Ho,Wo,C]`` times ``w[:, :, i, j].T`` (``[C,O]``), a GEMM with
-    no im2col buffer; the tape keeps the copy for backward.
+    no im2col buffer, run over blocks of whole images that fit
+    ``CONV_BLOCK_BYTES`` (``_conv_blocks``); the tape keeps the copy.
 
-    The taps run over blocks of whole images, so that a block's product
-    buffer (``[nb,Ho,Wo,O]`` forward, ``[nb,Ho,Wo,C]`` for the input
-    gradient) fits in ``CONV_BLOCK_BYTES``. Forward, tap 0 writes the
-    block's accumulator, every other tap writes one reused product buffer
-    that is then added in, and the block is copied into the NCHW output; the
-    input gradient adds its taps into the padded gradient in the same blocks.
-    The weight gradient is one GEMM per tap over the whole batch, each window
-    copied into one reused buffer. An image's output and input gradient are
-    the same bits at any block size.
+    The input gradient runs through the same kernel as a transposed conv: g
+    is copied once, channels-last, into a zero-padded buffer, and each of
+    the ``stride**2`` phases of the input (rows ``r + stride*q``, and the
+    same for columns) is a stride-1 conv of that buffer with the taps that
+    reach it, in and out channels swapped, written into its strided view of
+    the input gradient. At stride 1 that is one conv with the flipped kernel;
+    at stride 2 no multiply is by an inserted zero. It is skipped when ``x``
+    needs no gradient. The weight gradient copies each tap's window of a
+    block into one reused buffer, runs one batched ``[nb,O,Ho*Wo] x
+    [nb,Ho*Wo,C]`` GEMM, and adds the per-image products in image order. The
+    output, each image's input gradient, and the weight gradient are the
+    same bits at any block size.
 
     An unstrided, unpadded 1x1 conv copies nothing: NCHW viewed as
     ``[B,C,H*W]`` is one ``[O,C] x [B,C,H*W]`` ``matmul``, whose tape gives
@@ -214,44 +246,60 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
         return reshape(matmul(reshape(w, (cout, cin)),
                               reshape(x, (b, cin, h * wd))), (b, cout, h, wd))
     # one shifted window of the channels-last padded input per tap (i, j)
-    taps = [(i, j, (slice(None),
-                    slice(i * dilation, i * dilation + stride * (hout - 1) + 1, stride),
-                    slice(j * dilation, j * dilation + stride * (wout - 1) + 1, stride)))
+    taps = [(slice(None),
+             slice(i * dilation, i * dilation + stride * (hout - 1) + 1, stride),
+             slice(j * dilation, j * dilation + stride * (wout - 1) + 1, stride))
             for i in range(k) for j in range(k)]
     xc = _channels_last(x.data, padding)
-    wk = w.data.transpose(2, 3, 1, 0).copy()  # tap (i, j) -> [C, O]
-    nb = min(b, max(1, CONV_BLOCK_BYTES // (hout * wout * max(cin, cout) * 8)))
-    blocks = [slice(s, s + nb) for s in range(0, b, nb)]
+    # copied: the reshape is a view, and strided [C,O] slices slow every GEMM
+    wk = w.data.transpose(2, 3, 1, 0).reshape(k * k, cin, cout).copy()
     out = np.empty((b, cout, hout, wout))
-    acc, prod = np.empty((nb, hout, wout, cout)), np.empty((nb, hout, wout, cout))
-    for blk in blocks:
-        xb = xc[blk]
-        a, p = acc[:len(xb)], prod[:len(xb)]
-        (i, j, sl), *rest = taps
-        np.matmul(xb[sl], wk[i, j], out=a)
-        for i, j, sl in rest:
-            np.matmul(xb[sl], wk[i, j], out=p)
-            a += p
-        out[blk] = a.transpose(0, 3, 1, 2)
+    _conv_blocks(xc, wk, taps, out)
 
     def backward(g):
-        g4 = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
-        g2d = g4.reshape(-1, cout)
-        window = np.empty((b, hout, wout, cin))
-        dw = np.empty((cout, cin, k, k))
-        for i, j, sl in taps:
-            np.copyto(window, xc[sl])
-            dw[:, :, i, j] = g2d.T @ window.reshape(-1, cin)
-        dxc = np.zeros_like(xc)
-        buf = np.empty((nb, hout, wout, cin))
-        for blk in blocks:
-            gb, db = g4[blk], dxc[blk]
-            p = buf[:len(gb)]
-            for i, j, sl in taps:
-                np.matmul(gb, w.data[:, :, i, j], out=p)
-                db[sl] += p
-        dx = dxc[:, padding:padding + h, padding:padding + wd].transpose(0, 3, 1, 2)
-        return (np.ascontiguousarray(dx), dw)
+        nb = _block_images(b, hout, wout, max(cin, cout))
+        g3 = g.reshape(b, cout, hout * wout)
+        window = np.empty((nb, hout, wout, cin))
+        prods = np.empty((k * k, nb, cout, cin))
+        dwk = np.zeros((k * k, cout, cin))
+        for s in range(0, b, nb):
+            xb, gb = xc[s:s + nb], g3[s:s + nb]
+            win = window[:len(xb)]
+            for t, sl in enumerate(taps):
+                np.copyto(win, xb[sl])
+                np.matmul(gb, win.reshape(len(xb), -1, cin), out=prods[t, :len(xb)])
+            for m in range(len(xb)):
+                dwk += prods[:, m]
+        dw = dwk.reshape(k, k, cout, cin).transpose(2, 3, 0, 1).copy()
+        if not x.requires_grad:
+            return (None, dw)
+        # input row r + stride*q takes g row q + c through tap i, where
+        # r + padding - i*dilation = c*stride: each phase r of the input is a
+        # stride-1 conv of g, which sits at row `lead` of a zero-padded copy
+        lead = max(0, -((padding - dilation * (k - 1)) // stride))
+        gp = np.zeros((b, lead + max(hout, (h - 1 + padding) // stride + 1),
+                       lead + max(wout, (wd - 1 + padding) // stride + 1), cout))
+        gp[:, lead:lead + hout, lead:lead + wout] = g.transpose(0, 2, 3, 1)
+        dx = np.empty((b, cin, h, wd))
+
+        def phase(r, n):
+            """(tap, window of gp) for each tap that reaches phase r of an axis."""
+            nq = -(-(n - r) // stride)
+            return [(i, slice(lead + c // stride, lead + c // stride + nq))
+                    for i in range(k) for c in [r + padding - i * dilation]
+                    if c % stride == 0]
+
+        for ry in range(min(stride, h)):
+            for rx in range(min(stride, wd)):
+                ty, tx = phase(ry, h), phase(rx, wd)
+                view = dx[:, :, ry::stride, rx::stride]
+                if not (ty and tx):
+                    view[...] = 0
+                    continue
+                wt = np.stack([w.data[:, :, i, j] for i, _ in ty for j, _ in tx])
+                _conv_blocks(gp, wt, [(slice(None), sy, sx)
+                                      for _, sy in ty for _, sx in tx], view)
+        return (dx, dw)
 
     return _node(out, (x, w), backward)
 
@@ -537,34 +585,6 @@ def reduce_sum(x: Tensor) -> Tensor:
 
 def reduce_mean(x: Tensor) -> Tensor:
     return scale(reduce_sum(x), 1.0 / x.data.size)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error of backward() against central finite differences."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    x.grad = None
-    out = f(x)
-    out.backward()
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    flat = x.data.ravel()
-    aflat = analytic.ravel()
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(x).item()
-        flat[i] = orig - eps
-        fm = f(x).item()
-        flat[i] = orig
-        numeric = (fp - fm) / (2.0 * eps)
-        err = abs(aflat[i] - numeric) / max(1.0, abs(numeric))
-        worst = max(worst, err)
-    x.grad = None
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ from fusionseg.losses import bce_sigmoid_loss, composite_loss, dice_loss
 from fusionseg.metrics import confusion_matrix, fwiou, iou_per_class
 from fusionseg.segnet import AblationConfig
 from fusionseg.synthdata import SceneSpec, generate_sample, make_dataset, load_split, read_pgm
-from fusionseg.tensor import Tensor, grad_check
+from fusionseg.tensor import Tensor
 from fusionseg.training import evaluate, export_maps, run_ablation, train
+from gradcheck import grad_check
 
 PIPELINE_SEED = 11
 GAN_TOY_SEED = 42

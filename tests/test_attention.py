@@ -8,7 +8,8 @@ from fusionseg import tensor as T
 from fusionseg.attention import (AttentionStage, ExternalAttention,
                                  double_normalize, external_attention_forward)
 from fusionseg.errors import DimensionError
-from fusionseg.tensor import Tensor, grad_check
+from fusionseg.tensor import Tensor
+from gradcheck import grad_check
 
 
 def make_att(s, d, seed=0):

@@ -6,7 +6,9 @@ from fusionseg.errors import ConfigurationError, DimensionError, DomainError
 from fusionseg.gan import (GanPair, GeneratorNet,
                            cycle_loss, disc_loss, gan_train_step, ls_loss,
                            pretrain_gan)
-from fusionseg.tensor import Tensor, grad_check
+from fusionseg.layers import BatchNorm2d
+from fusionseg.tensor import Tensor
+from gradcheck import grad_check
 
 
 def toy_batch(rng, n=2, size=16):
@@ -54,6 +56,37 @@ class TestGenerator:
         for i in range(len(x)):
             np.testing.assert_allclose(g(Tensor(x[i:i + 1])).data[0],
                                        batched[i], rtol=0, atol=1e-12)
+
+
+class TestDiscriminator:
+    def test_score_does_not_depend_on_the_batch(self):
+        sets = np.random.default_rng(27).random((2, 6, 1, 16, 16))
+        d = pretrain_gan(sets[0], sets[1], 10, seed=28).d_y
+        batched = d(Tensor(sets[1])).data
+        for i in range(len(sets[1])):
+            np.testing.assert_allclose(d(Tensor(sets[1][i:i + 1])).data[0],
+                                       batched[i], rtol=0, atol=1e-12)
+
+    def test_batch_one_steps_equal_batch_norm_bitwise(self):
+        # at batch 1 instance norm is batch norm's maths: the losses and
+        # every parameter come out the same bits with either
+        rng = np.random.default_rng(29)
+        xs, ys = rng.random((5, 1, 1, 16, 16)), rng.random((5, 1, 1, 16, 16))
+
+        def run(batch_norm):
+            pair = GanPair(seed=30)
+            if batch_norm:
+                for block in (pair.d_x.c1, pair.d_x.c2, pair.d_y.c1, pair.d_y.c2):
+                    bn = BatchNorm2d(len(block.bn.gamma.data))
+                    bn.gamma, bn.beta = block.bn.gamma, block.bn.beta
+                    block.bn = bn
+            recs = [gan_train_step(pair, Tensor(x), Tensor(y), 1e-3)
+                    for x, y in zip(xs, ys)]
+            return recs, [p.data for _, p in pair.named_params()]
+
+        (recs_in, params_in), (recs_bn, params_bn) = run(False), run(True)
+        assert recs_in == recs_bn
+        assert all(np.array_equal(a, b) for a, b in zip(params_in, params_bn))
 
 
 class TestAdversarialLosses:

@@ -6,7 +6,8 @@ import pytest
 from fusionseg import tensor as T
 from fusionseg.errors import ContractError, DimensionError, DomainError
 from fusionseg.layers import Conv2d
-from fusionseg.tensor import AdamW, Tensor, grad_check
+from fusionseg.tensor import AdamW, Tensor
+from gradcheck import grad_check
 
 
 def rand(rng, *shape):
@@ -162,27 +163,54 @@ class TestConv2d:
         self.check_direct(3, k, stride, dilation, padding)
 
     def test_blocks_give_the_same_bits(self, monkeypatch):
-        # 4 channels at 16x16 are 8 KB an image, so 5 images run in blocks
-        # of 2, 2 and 1; one block, or one image alone, gives the same bits
+        # 4 channels of a 16x16 input give 5 images at 16x16 (8 KB an image)
+        # or 8x8 (2 KB an image) outputs; they run in blocks of 2, 2 and 1;
+        # one block, or one image alone, gives the same bits
         rng = np.random.default_rng(9)
         x0, w0 = rng.normal(size=(5, 4, 16, 16)), rng.normal(size=(4, 4, 3, 3))
-        g = rng.normal(size=(5, 4, 16, 16))
+        for stride, dilation, padding in ((1, 1, 1), (2, 1, 1), (1, 2, 2)):
+            ho = T.conv_output_extent(16, 3, stride, dilation, padding)
+            per_image = ho * ho * 4 * 8
+            g = rng.normal(size=(5, 4, ho, ho))
 
-        def run(block_bytes, rows=slice(None)):
-            monkeypatch.setattr(T, "CONV_BLOCK_BYTES", block_bytes)
-            x = Tensor(x0[rows], requires_grad=True)
+            def run(block_bytes, rows=slice(None)):
+                monkeypatch.setattr(T, "CONV_BLOCK_BYTES", block_bytes)
+                x = Tensor(x0[rows], requires_grad=True)
+                w = Tensor(w0, requires_grad=True)
+                out = T.conv2d(x, w, stride, dilation, padding)
+                T.reduce_sum(T.mul(out, Tensor(g[rows]))).backward()
+                return out.data, x.grad, w.grad
+
+            blocked, whole = run(3 * per_image - 1), run(5 * per_image)
+            for got, want in zip(blocked, whole):
+                assert np.array_equal(got, want)
+            for i in range(5):
+                alone = run(5 * per_image, slice(i, i + 1))
+                assert np.array_equal(alone[0], whole[0][i:i + 1])
+                assert np.array_equal(alone[1], whole[1][i:i + 1])
+
+    def test_no_input_gradient_when_input_needs_none(self, monkeypatch):
+        # the weight gradient is the same bits, and no transposed conv runs:
+        # the forward is the one call of the kernel
+        rng = np.random.default_rng(11)
+        x0, w0 = rng.normal(size=(3, 4, 9, 9)), rng.normal(size=(5, 4, 3, 3))
+        calls = []
+        kernel = T._conv_blocks
+        monkeypatch.setattr(T, "_conv_blocks",
+                            lambda *a: calls.append(1) or kernel(*a))
+
+        def run(x_needs_grad):
+            calls.clear()
+            x = Tensor(x0, requires_grad=x_needs_grad)
             w = Tensor(w0, requires_grad=True)
-            out = T.conv2d(x, w, padding=1)
-            T.reduce_sum(T.mul(out, Tensor(g[rows]))).backward()
-            return out.data, x.grad, w.grad
+            out = T.conv2d(x, w, stride=2, padding=1)
+            T.reduce_sum(T.mul(out, out)).backward()
+            return x.grad, w.grad, len(calls)
 
-        blocked, whole = run(3 * 8192 - 1), run(5 * 8192)
-        for got, want in zip(blocked, whole):
-            assert np.array_equal(got, want)
-        for i in range(5):
-            alone = run(5 * 8192, slice(i, i + 1))
-            assert np.array_equal(alone[0], whole[0][i:i + 1])
-            assert np.array_equal(alone[1], whole[1][i:i + 1])
+        (dx_none, dw_none, n_none), (dx, dw, n) = run(False), run(True)
+        assert dx_none is None and dx is not None
+        assert np.array_equal(dw_none, dw)
+        assert n_none == 1 and n > 1
 
     def test_forward_working_memory(self):
         # blocks keep the per-tap products in cache-sized buffers: beyond its
@@ -200,6 +228,24 @@ class TestConv2d:
             tracemalloc.stop()
         padded = 8 * 66 * 66 * 8 * 8
         assert peak - out.data.nbytes - padded < 2**20
+
+    def test_backward_working_memory(self):
+        # the weight gradient works per image block and the input gradient
+        # through the blocked forward kernel: one backward, results included,
+        # peaks under 6 MB (a whole-batch scatter and window copy took 8.8)
+        rng = np.random.default_rng(12)
+        x = rand(rng, 8, 8, 64, 64)
+        w = rand(rng, 8, 8, 3, 3)
+        out = T.conv2d(x, w, padding=1)
+        g = rng.normal(size=out.data.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = out._backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grads[0].shape == x.data.shape and peak < 6e6
 
     @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1)])
     def test_tape_holds_no_extra_input_copy(self, k, padding):
