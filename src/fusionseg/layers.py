@@ -69,6 +69,8 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
+    axes = (0, 2, 3)  # the statistics' axes, for T.norm_relu
+
     def __init__(self, c):
         self.gamma = Tensor(np.ones(c), requires_grad=True)
         self.beta = Tensor(np.zeros(c), requires_grad=True)
@@ -78,12 +80,14 @@ class BatchNorm2d(Module):
 
 
 class InstanceNorm2d(BatchNorm2d):
+    axes = (2, 3)
+
     def __call__(self, x):
         return T.instancenorm2d(x, self.gamma, self.beta)
 
 
 class ConvBNRelu(Module):
-    """conv -> norm (batchnorm by default) -> relu, the stock block of every net."""
+    """conv -> norm (batchnorm by default) and relu as one ``T.norm_relu``."""
 
     def __init__(self, cin, cout, k, stride=1, dilation=1, padding=0, rng=None,
                  norm=BatchNorm2d):
@@ -91,4 +95,4 @@ class ConvBNRelu(Module):
         self.bn = norm(cout)
 
     def __call__(self, x):
-        return T.relu(self.bn(self.conv(x)))
+        return T.norm_relu(self.conv(x), self.bn.gamma, self.bn.beta, self.bn.axes)

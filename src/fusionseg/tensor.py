@@ -430,28 +430,57 @@ def instancenorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _normalize2d(x, gamma, beta, (2, 3), "instancenorm2d")
 
 
-def _normalize2d(x, gamma, beta, axes, name):
-    """Normalize over ``axes`` with per-channel gamma and beta."""
+def norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
+    """``relu`` of a batch norm (``axes`` (0, 2, 3)) or instance norm ((2, 3)).
+
+    One op, as in-place activated BatchNorm (Rota Bulò et al., arXiv
+    1712.02616): the ReLU runs in place on the norm's output, whose sign is
+    the mask in backward. Output and gradients are the two ops' bits.
+    """
+    if tuple(axes) not in ((0, 2, 3), (2, 3)):
+        raise DomainError(f"norm_relu axes must be (0, 2, 3) or (2, 3), got {axes}")
+    return _normalize2d(x, gamma, beta, tuple(axes), "norm_relu", with_relu=True)
+
+
+def _normalize2d(x, gamma, beta, axes, name, with_relu=False):
+    """Normalize over ``axes`` with per-channel gamma and beta, then maybe ReLU.
+
+    Centres once and takes the variance as ``sum(xc*xc)/n``, the arithmetic
+    of ``np.var``; ``xc`` is scaled in place into ``xhat`` and the output is
+    written into the squares buffer. The tape keeps ``xhat``, ``inv_std`` and
+    the output; backward runs in two buffers of its own.
+    """
     if x.data.ndim != 4:
         raise DimensionError(f"{name} expects a 4-d tensor")
     c = x.data.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise DimensionError("gamma/beta must have one entry per channel")
     n = int(np.prod([x.data.shape[a] for a in axes]))
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + BATCHNORM_EPS)
-    xhat = (x.data - mu) * inv_std
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    gamma4, beta4 = gamma.data[None, :, None, None], beta.data[None, :, None, None]
+    xhat = x.data - x.data.mean(axis=axes, keepdims=True)
+    out = np.multiply(xhat, xhat)
+    inv_std = 1.0 / np.sqrt(out.sum(axis=axes, keepdims=True) / n + BATCHNORM_EPS)
+    xhat *= inv_std
+    np.multiply(gamma4, xhat, out=out)
+    out += beta4
+    if with_relu:
+        _relu_data(out, out=out)
 
     def backward(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
+        if with_relu:  # g is read only: add() hands the same array to both parents
+            g = g * (out > 0)
+        a = g * xhat
+        dgamma = a.sum(axis=(0, 2, 3))
         dbeta = g.sum(axis=(0, 2, 3))
-        dxhat = g * gamma.data[None, :, None, None]
-        dx = (inv_std / n) * (n * dxhat
-                              - dxhat.sum(axis=axes, keepdims=True)
-                              - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
-        return (dx, dgamma, dbeta)
+        dxhat = g * gamma4
+        s1 = dxhat.sum(axis=axes, keepdims=True)
+        s2 = np.multiply(dxhat, xhat, out=a).sum(axis=axes, keepdims=True)
+        # dx = (inv_std/n) * (n*dxhat - s1 - xhat*s2), in that order
+        dxhat *= n
+        dxhat -= s1
+        dxhat -= np.multiply(xhat, s2, out=a)
+        dxhat *= inv_std / n
+        return (dxhat, dgamma, dbeta)
 
     return _node(out, (x, gamma, beta), backward)
 
@@ -556,9 +585,16 @@ def scale(x: Tensor, a: float, b: float = 0.0) -> Tensor:
     return _node(a * x.data + b, (x,), lambda g: (a * g,))
 
 
+def _relu_data(a, out=None):
+    """``a`` where ``a > 0``, else +0.0 (for NaN and -0.0 too); no mask, no branch."""
+    out = np.fmax(a, 0.0, out=out)
+    out += 0.0  # fmax may keep -0.0; -0.0 + 0.0 is +0.0
+    return out
+
+
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0  # derivative at exactly 0 is 0
-    return _node(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    out = _relu_data(x.data)  # out > 0 exactly where x > 0: derivative at 0 is 0
+    return _node(out, (x,), lambda g: (g * (out > 0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -5,7 +5,7 @@ import pytest
 
 from fusionseg import tensor as T
 from fusionseg.errors import ContractError, DimensionError, DomainError
-from fusionseg.layers import Conv2d
+from fusionseg.layers import Conv2d, ConvBNRelu
 from fusionseg.tensor import AdamW, Tensor
 from gradcheck import grad_check
 
@@ -505,6 +505,30 @@ def _sq_sum(x):
     return T.reduce_sum(T.mul(x, x))
 
 
+# fixed operands of the norms: [2,12,1,3] features, so that a 12-entry t can
+# be gamma or beta; a perturbed x is [2,2,1,3] with the first two of each.
+# The output is weighted: a norm's plain sum of squares is constant in x
+_NM = np.random.default_rng(22)
+NM_X, NM_W = _NM.normal(size=(2, 2, 12, 1, 3))
+NM_G, NM_B = _NM.normal(size=(2, 12))
+
+
+def _norm_ops(name, op):
+    """One entry per operand of ``op(x, gamma, beta)``, each perturbed in turn."""
+    def loss(x, gamma, beta):
+        c = gamma.data.shape[0]
+        return T.reduce_sum(T.mul(op(x, gamma, beta), Tensor(NM_W[:, :c])))
+
+    return {
+        f"{name}_x": lambda t: loss(T.reshape(t, (2, 2, 1, 3)),
+                                    Tensor(NM_G[:2]), Tensor(NM_B[:2])),
+        f"{name}_gamma": lambda t: loss(Tensor(NM_X), T.reshape(t, (12,)),
+                                        Tensor(NM_B)),
+        f"{name}_beta": lambda t: loss(Tensor(NM_X), Tensor(NM_G),
+                                       T.reshape(t, (12,))),
+    }
+
+
 OPS = {
     "matmul": lambda t: T.reduce_sum(T.mul(T.matmul(t, T.transpose2d(t)),
                                            T.matmul(t, T.transpose2d(t)))),
@@ -533,6 +557,11 @@ OPS = {
         T.external_attention(EA_F, T.reshape(t, (4, 3)), EA_MV)),
     "external_attention_m_v": lambda t: _sq_sum(
         T.external_attention(EA_F, EA_MK, T.reshape(t, (4, 3)))),
+    **_norm_ops("batchnorm2d", T.batchnorm2d),
+    **_norm_ops("norm_relu_batch",
+                lambda x, g, b: T.norm_relu(x, g, b, (0, 2, 3))),
+    **_norm_ops("norm_relu_instance",
+                lambda x, g, b: T.norm_relu(x, g, b, (2, 3))),
 }
 
 
@@ -578,6 +607,68 @@ class TestInstanceNorm:
         with pytest.raises(DimensionError):
             T.instancenorm2d(Tensor(np.zeros((3, 4))), Tensor(np.ones(4)),
                              Tensor(np.zeros(4)))
+
+
+class TestNormRelu:
+    def run(self, op, x, gamma, beta, weights):
+        """Output and the gradients of x, gamma and beta under a fixed weighting."""
+        x, gamma, beta = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+        out = op(x, gamma, beta)
+        T.reduce_sum(T.mul(out, Tensor(weights))).backward()
+        return out.data, x.grad, gamma.grad, beta.grad
+
+    # the model's shapes, and an odd size: np.fmax can keep -0.0 in the tail
+    # of an array it does not split evenly into vector lanes
+    @pytest.mark.parametrize("shape", [(8, 8, 64, 64), (1, 8, 32, 32),
+                                       (8, 24, 4, 4), (1, 16, 16, 16),
+                                       (2, 3, 5, 3)])
+    @pytest.mark.parametrize("axes,norm", [((0, 2, 3), T.batchnorm2d),
+                                           ((2, 3), T.instancenorm2d)])
+    def test_same_bits_as_relu_of_the_norm(self, shape, axes, norm):
+        rng = np.random.default_rng(shape[1])
+        x = rng.normal(size=shape) * 3 + 0.5
+        gamma, beta = rng.normal(size=(2, shape[1]))
+        # the last channel is constant 0 with gamma < 0 and beta = -0.0, so
+        # its pre-activation is exactly -0.0; one entry of channel 0 is NaN
+        x[:, -1] = 0.0
+        gamma[-1], beta[-1] = -1.5, -0.0
+        x[0, 0, 0, 0] = np.nan
+        pre = norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        assert (pre[:, -1] == 0).all() and np.signbit(pre[:, -1]).all()
+        weights = rng.normal(size=shape)
+        fused = self.run(lambda *a: T.norm_relu(*a, axes), x, gamma, beta, weights)
+        pair = self.run(lambda *a: T.relu(norm(*a)), x, gamma, beta, weights)
+        # relu shares the one-pass form, so check the output on its own too
+        for a, b in zip(fused, (np.where(pre > 0, pre, 0.0),) + pair[1:]):
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert np.array_equal(pair[0], fused[0])
+
+    def test_relu_gives_plus_zero_where_not_positive(self):
+        x = np.array([-0.0, np.nan, 0.0, -1.0, -np.inf, 2.0, np.inf])
+        out = T.relu(Tensor(x)).data
+        assert np.array_equal(out, [0, 0, 0, 0, 0, 2, np.inf])
+        assert not np.signbit(out).any()
+
+    def test_rejects_other_axes(self):
+        with pytest.raises(DomainError):
+            T.norm_relu(Tensor(np.zeros((2, 3, 4, 4))), Tensor(np.ones(3)),
+                        Tensor(np.zeros(3)), (1, 2, 3))
+
+    def test_taped_block_holds_no_separate_norm_output(self):
+        # the stem block at 64 px: the conv keeps its padded copy and output,
+        # the fused op xhat and the output (8.5 MB); a norm output, a relu
+        # output and its mask besides took 10.9 MB
+        block = ConvBNRelu(8, 8, 3, padding=1, rng=np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).normal(size=(8, 8, 64, 64)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = block(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad and held < 9.5e6
 
 
 def test_determinism_same_seed():
