@@ -31,8 +31,7 @@ class ResidualBlock(Module):
         self.bn2 = InstanceNorm2d(c)
 
     def __call__(self, x):
-        h = T.norm_relu(self.conv1(x), self.bn1.gamma, self.bn1.beta, self.bn1.axes)
-        return T.add(self.bn2(self.conv2(h)), x)
+        return T.add(self.bn2(self.conv2(self.bn1(self.conv1(x), relu=True))), x)
 
 
 class GeneratorNet(Module):

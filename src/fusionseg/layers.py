@@ -69,25 +69,21 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    axes = (0, 2, 3)  # the statistics' axes, for T.norm_relu
-
     def __init__(self, c):
         self.gamma = Tensor(np.ones(c), requires_grad=True)
         self.beta = Tensor(np.zeros(c), requires_grad=True)
 
-    def __call__(self, x):
-        return T.batchnorm2d(x, self.gamma, self.beta)
+    def __call__(self, x, relu=False):
+        return T.batchnorm2d(x, self.gamma, self.beta, relu)
 
 
 class InstanceNorm2d(BatchNorm2d):
-    axes = (2, 3)
-
-    def __call__(self, x):
-        return T.instancenorm2d(x, self.gamma, self.beta)
+    def __call__(self, x, relu=False):
+        return T.instancenorm2d(x, self.gamma, self.beta, relu)
 
 
 class ConvBNRelu(Module):
-    """conv -> norm (batchnorm by default) and relu as one ``T.norm_relu``."""
+    """conv -> norm (batchnorm by default) with its ReLU fused into the norm op."""
 
     def __init__(self, cin, cout, k, stride=1, dilation=1, padding=0, rng=None,
                  norm=BatchNorm2d):
@@ -95,4 +91,4 @@ class ConvBNRelu(Module):
         self.bn = norm(cout)
 
     def __call__(self, x):
-        return T.norm_relu(self.conv(x), self.bn.gamma, self.bn.beta, self.bn.axes)
+        return self.bn(self.conv(x), relu=True)

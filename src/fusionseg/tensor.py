@@ -156,11 +156,11 @@ def conv_output_extent(n, k, stride, dilation, padding):
     return (n + 2 * padding - dilation * (k - 1) - 1) // stride + 1
 
 
-def _channels_last(a, padding):
-    """[B,C,H,W] -> a new zero-padded, contiguous [B,H+2p,W+2p,C] array."""
+def _channels_last(a, lead, hp, wp):
+    """[B,C,H,W] -> a new zero [B,hp,wp,C] array, ``a`` from row and column ``lead``."""
     b, c, h, w = a.shape
-    out = np.zeros((b, h + 2 * padding, w + 2 * padding, c))
-    out[:, padding:padding + h, padding:padding + w] = a.transpose(0, 2, 3, 1)
+    out = np.zeros((b, hp, wp, c))
+    out[:, lead:lead + h, lead:lead + w] = a.transpose(0, 2, 3, 1)
     return out
 
 
@@ -250,7 +250,7 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
              slice(i * dilation, i * dilation + stride * (hout - 1) + 1, stride),
              slice(j * dilation, j * dilation + stride * (wout - 1) + 1, stride))
             for i in range(k) for j in range(k)]
-    xc = _channels_last(x.data, padding)
+    xc = _channels_last(x.data, padding, h + 2 * padding, wd + 2 * padding)
     # copied: the reshape is a view, and strided [C,O] slices slow every GEMM
     wk = w.data.transpose(2, 3, 1, 0).reshape(k * k, cin, cout).copy()
     out = np.empty((b, cout, hout, wout))
@@ -277,9 +277,8 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
         # r + padding - i*dilation = c*stride: each phase r of the input is a
         # stride-1 conv of g, which sits at row `lead` of a zero-padded copy
         lead = max(0, -((padding - dilation * (k - 1)) // stride))
-        gp = np.zeros((b, lead + max(hout, (h - 1 + padding) // stride + 1),
-                       lead + max(wout, (wd - 1 + padding) // stride + 1), cout))
-        gp[:, lead:lead + hout, lead:lead + wout] = g.transpose(0, 2, 3, 1)
+        gp = _channels_last(g, lead, lead + max(hout, (h - 1 + padding) // stride + 1),
+                            lead + max(wout, (wd - 1 + padding) // stride + 1))
         dx = np.empty((b, cin, h, wd))
 
         def phase(r, n):
@@ -420,29 +419,24 @@ def external_attention(f: Tensor, m_k: Tensor, m_v: Tensor) -> Tensor:
                  backward)
 
 
-def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-channel normalization using the current batch statistics."""
-    return _normalize2d(x, gamma, beta, (0, 2, 3), "batchnorm2d")
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, relu=False) -> Tensor:
+    """Per-channel normalization using the current batch statistics.
 
-
-def instancenorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-image, per-channel normalization: no image sees the rest of its batch."""
-    return _normalize2d(x, gamma, beta, (2, 3), "instancenorm2d")
-
-
-def norm_relu(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
-    """``relu`` of a batch norm (``axes`` (0, 2, 3)) or instance norm ((2, 3)).
-
-    One op, as in-place activated BatchNorm (Rota Bulò et al., arXiv
-    1712.02616): the ReLU runs in place on the norm's output, whose sign is
-    the mask in backward. Output and gradients are the two ops' bits.
+    ``relu=True`` runs the ReLU in place on the output in the same op, as
+    in-place activated BatchNorm (Rota Bulò et al., arXiv 1712.02616); the
+    output's sign is the mask in backward. Output and gradients are the bits
+    of ``relu(batchnorm2d(...))``, NaN and -0.0 pre-activations included.
     """
-    if tuple(axes) not in ((0, 2, 3), (2, 3)):
-        raise DomainError(f"norm_relu axes must be (0, 2, 3) or (2, 3), got {axes}")
-    return _normalize2d(x, gamma, beta, tuple(axes), "norm_relu", with_relu=True)
+    return _normalize2d(x, gamma, beta, (0, 2, 3), "batchnorm2d", relu)
 
 
-def _normalize2d(x, gamma, beta, axes, name, with_relu=False):
+def instancenorm2d(x: Tensor, gamma: Tensor, beta: Tensor, relu=False) -> Tensor:
+    """Per-image, per-channel normalization: no image sees the rest of its batch.
+    ``relu`` as in ``batchnorm2d``."""
+    return _normalize2d(x, gamma, beta, (2, 3), "instancenorm2d", relu)
+
+
+def _normalize2d(x, gamma, beta, axes, name, relu):
     """Normalize over ``axes`` with per-channel gamma and beta, then maybe ReLU.
 
     Centres once and takes the variance as ``sum(xc*xc)/n``, the arithmetic
@@ -463,11 +457,11 @@ def _normalize2d(x, gamma, beta, axes, name, with_relu=False):
     xhat *= inv_std
     np.multiply(gamma4, xhat, out=out)
     out += beta4
-    if with_relu:
+    if relu:
         _relu_data(out, out=out)
 
     def backward(g):
-        if with_relu:  # g is read only: add() hands the same array to both parents
+        if relu:  # g is read only: add() hands the same array to both parents
             g = g * (out > 0)
         a = g * xhat
         dgamma = a.sum(axis=(0, 2, 3))

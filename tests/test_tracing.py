@@ -13,7 +13,9 @@ import numpy as np
 
 from fusionseg import tensor as T
 from fusionseg.attention import AttentionStage
-from fusionseg.gan import GanPair, gan_train_step
+from fusionseg.gan import GanPair, GeneratorNet, gan_train_step
+from fusionseg.layers import BatchNorm2d, Module
+from fusionseg.segnet import AblationConfig, FusionSegNet
 from fusionseg.tensor import Tensor
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -65,3 +67,25 @@ def test_tracer_records_one_adamw_step_per_parameter():
     n_params = len(pair.gen_opt.params) + len(pair.disc_opt.params)
     assert n_params == len(pair.named_params())
     assert [span[0] for span in tracer.spans].count("tensor.adamw_step") == n_params
+
+
+def modules(m):
+    """``m`` and every Module under it, private attributes and lists included."""
+    yield m
+    for value in vars(m).values():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, Module):
+                yield from modules(v)
+
+
+def test_tracer_records_every_batch_norm_of_the_full_model():
+    # each conv-BN-ReLU block's norm, ReLU fused in, is one batchnorm2d call
+    tracing = load_tracing()
+    net = FusionSegNet(AblationConfig(True, True, True), seed=3,
+                       generator=GeneratorNet(np.random.default_rng(4)))
+    x = Tensor(np.random.default_rng(5).uniform(size=(2, 1, 16, 16)))
+    with tracing.Tracer() as tracer:
+        net(x)
+    n_batch_norms = sum(type(m) is BatchNorm2d for m in modules(net))
+    names = [span[0] for span in tracer.spans]
+    assert n_batch_norms > 0 and names.count("tensor.batchnorm2d") == n_batch_norms
