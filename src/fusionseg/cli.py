@@ -106,9 +106,9 @@ def cmd_eval(config, args):
 
 
 def cmd_ablate(config, args):
-    rows = run_ablation(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    rows = run_ablation(config)
     (out / "ablation.json").write_text(json.dumps(rows, indent=1, sort_keys=True))
     print(format_ablation_table(rows))
 

@@ -27,14 +27,6 @@ class Tensor:
         self._parents = tuple(_parents)
         self._backward_fn = _backward_fn
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def detach(self):
         """Leaf copy sharing no graph history (data is copied)."""
         return Tensor(self.data.copy())
@@ -216,9 +208,10 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
     at stride 2 no multiply is by an inserted zero. It is skipped when ``x``
     needs no gradient. The weight gradient copies each tap's window of a
     block into one reused buffer, runs one batched ``[nb,O,Ho*Wo] x
-    [nb,Ho*Wo,C]`` GEMM, and adds the per-image products in image order. The
-    output, each image's input gradient, and the weight gradient are the
-    same bits at any block size.
+    [nb,Ho*Wo,C]`` GEMM into a ``[k*k,B,O,C]`` buffer of per-image products,
+    and sums them over the images with one ``sum``. The output, each image's
+    input gradient, and the weight gradient are the same bits at any block
+    size.
 
     An unstrided, unpadded 1x1 conv copies nothing: NCHW viewed as
     ``[B,C,H*W]`` is one ``[O,C] x [B,C,H*W]`` ``matmul``, whose tape gives
@@ -260,17 +253,14 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
         nb = _block_images(b, hout, wout, max(cin, cout))
         g3 = g.reshape(b, cout, hout * wout)
         window = np.empty((nb, hout, wout, cin))
-        prods = np.empty((k * k, nb, cout, cin))
-        dwk = np.zeros((k * k, cout, cin))
+        prods = np.empty((k * k, b, cout, cin))
         for s in range(0, b, nb):
             xb, gb = xc[s:s + nb], g3[s:s + nb]
             win = window[:len(xb)]
             for t, sl in enumerate(taps):
                 np.copyto(win, xb[sl])
-                np.matmul(gb, win.reshape(len(xb), -1, cin), out=prods[t, :len(xb)])
-            for m in range(len(xb)):
-                dwk += prods[:, m]
-        dw = dwk.reshape(k, k, cout, cin).transpose(2, 3, 0, 1).copy()
+                np.matmul(gb, win.reshape(len(xb), -1, cin), out=prods[t, s:s + nb])
+        dw = prods.sum(axis=1).reshape(k, k, cout, cin).transpose(2, 3, 0, 1).copy()
         if not x.requires_grad:
             return (None, dw)
         # input row r + stride*q takes g row q + c through tap i, where
@@ -394,13 +384,13 @@ def external_attention(f: Tensor, m_k: Tensor, m_v: Tensor) -> Tensor:
         # g is read only: add() hands the same array to both of its parents
         g3 = g.reshape(n, dv, npix)
         df = np.empty(f3.shape)
-        dmk, dmvt = np.empty((s, d)), np.empty((dv, s))
-        tk, tv = np.empty((s, d)), np.empty((dv, s))
+        # per-matrix parameter gradients, summed over matrices as the
+        # reference composition sums them
+        dmk, dmvt = np.empty((n, s, d)), np.empty((n, dv, s))
         w, dw, tmp = (np.empty((s, npix)) for _ in range(3))
         for i in range(n):
             np.divide(p[i], denom[i], out=w)
-            # batch sums run in image order, first term copied, as sum(axis=0)
-            np.matmul(g3[i], w.T, out=tv if i else dmvt)
+            np.matmul(g3[i], w.T, out=dmvt[i])
             np.matmul(mvt.T, g3[i], out=dw)
             np.multiply(dw, w, out=tmp)  # L1 backward
             dw -= tmp.sum(axis=0, keepdims=True)
@@ -408,12 +398,10 @@ def external_attention(f: Tensor, m_k: Tensor, m_v: Tensor) -> Tensor:
             np.multiply(dw, p[i], out=tmp)  # softmax backward
             dw -= tmp.sum(axis=1, keepdims=True)
             dw *= p[i]
-            np.matmul(dw, f3[i].T, out=tk if i else dmk)
+            np.matmul(dw, f3[i].T, out=dmk[i])
             np.matmul(m_k.data.T, dw, out=df[i])
-            if i:
-                dmvt += tv
-                dmk += tk
-        return (df.reshape(f.data.shape), dmk, dmvt.T.copy())
+        return (df.reshape(f.data.shape), dmk.sum(axis=0),
+                dmvt.sum(axis=0).T.copy())
 
     return _node(out.reshape(f.data.shape[:-2] + (dv, npix)), (f, m_k, m_v),
                  backward)

@@ -35,6 +35,8 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
 
 def load_generator_from(path) -> GeneratorNet:
     """Rebuild only the SAR-to-optical generator from a GAN pair checkpoint."""
+    if not Path(path).exists():
+        raise ConfigurationError(f"use_gan set but no GAN checkpoint at {path}")
     g = GeneratorNet(np.random.Generator(np.random.PCG64(0)))
     load_into_params(path, g.named_params("g_xy"))
     return g
@@ -43,9 +45,6 @@ def load_generator_from(path) -> GeneratorNet:
 def build_net(config: TrainConfig) -> FusionSegNet:
     generator = None
     if config.ablation.use_gan:
-        if not Path(config.gan_checkpoint).exists():
-            raise ConfigurationError(
-                f"use_gan set but no GAN checkpoint at {config.gan_checkpoint}")
         generator = load_generator_from(config.gan_checkpoint)
     return FusionSegNet(config.ablation, seed=config.seed, generator=generator)
 
@@ -61,45 +60,38 @@ def batch_losses(net, x: np.ndarray, masks: np.ndarray):
 
 
 def _forward_batches(fn, x: np.ndarray, batch_size: int):
-    """Yield (first index, ``fn(batch).data``) per batch, in order, with no tape."""
-    for start in range(0, len(x), batch_size):
-        # only the call: a block held open across the yield would leave the
-        # tape off in the caller's code too
-        with T.no_grad():
-            out = fn(Tensor(x[start:start + batch_size])).data
-        yield start, out
-
-
-def _stitch_split(net, sar: np.ndarray, batch_size: int):
-    """``net.stitch`` of a whole split, batch by batch; None for an empty one."""
-    parts = [x for _, x in _forward_batches(net.stitch, sar, batch_size)]
+    """``fn`` of ``x`` batch by batch, with no tape, as one array; None if empty."""
+    with T.no_grad():
+        parts = [fn(Tensor(x[start:start + batch_size])).data
+                 for start in range(0, len(x), batch_size)]
     return np.concatenate(parts) if parts else None
 
 
-def predicted_masks(net, sar: np.ndarray, batch_size: int):
-    """Yield (first index, boolean foreground masks [B,H,W]) per batch, in order.
+def predicted_masks(net, sar: np.ndarray, batch_size: int) -> np.ndarray:
+    """Boolean foreground masks [N,H,W] of a nonempty split.
 
-    ``net`` maps an input batch to logits; a non-finite one is a DomainError.
+    ``net`` maps an input batch to logits; a non-finite one is a DomainError
+    that names the first index of its batch.
     """
-    for start, logits in _forward_batches(net, sar, batch_size):
-        if not np.isfinite(logits).all():
-            raise DomainError(f"non-finite logits in the batch at index {start}")
-        # not logits >= 0: a tiny negative logit rounds to probability 0.5
-        yield start, T.sigmoid(Tensor(logits)).data[:, 0] >= 0.5
+    logits = _forward_batches(net, sar, batch_size)
+    bad = np.argwhere(~np.isfinite(logits))
+    if len(bad):
+        start = bad[0, 0] // batch_size * batch_size
+        raise DomainError(f"non-finite logits in the batch at index {start}")
+    # not logits >= 0: a tiny negative logit rounds to probability 0.5
+    return T.sigmoid(Tensor(logits)).data[:, 0] >= 0.5
 
 
 def evaluate(net, sar: np.ndarray, masks: np.ndarray, batch_size: int = 8):
-    """Accumulate one confusion matrix over a split; fixed index order.
+    """One confusion matrix over a split, and the scores it gives.
 
     ``net`` is any callable from an input batch to logits: a ``FusionSegNet``
     on SAR images, or its ``body`` on inputs it has stitched already.
     """
     if len(sar) == 0:
         raise DomainError("cannot evaluate an empty split")
-    counts = np.zeros((2, 2), dtype=np.int64)
-    for start, fg in predicted_masks(net, sar, batch_size):
-        true = masks[start:start + batch_size].astype(np.int64)
-        counts += confusion_matrix(fg.astype(np.int64), true, 2)
+    fg = predicted_masks(net, sar, batch_size)
+    counts = confusion_matrix(fg.astype(np.int64), masks.astype(np.int64), 2)
     score = fwiou(counts)
     return {"fwiou": score, "fwiou_percent": 100.0 * score,
             "iou_per_class": [float(v) for v in iou_per_class(counts)],
@@ -119,8 +111,8 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
     records = []
     # the generator is frozen and per-image, so one stitch of each split
     # serves every epoch and every batch cut from it
-    train_inputs = _stitch_split(net, sar_train, config.batch_size)
-    val_inputs = _stitch_split(net, sar_val, config.batch_size)
+    train_inputs = _forward_batches(net.stitch, sar_train, config.batch_size)
+    val_inputs = _forward_batches(net.stitch, sar_val, config.batch_size)
     best_fwiou = -1.0
     with open(metrics_path or os.devnull, "w") as metrics_file:
         for epoch in range(config.epochs):
@@ -145,8 +137,8 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
             if val_inputs is not None:
                 val = evaluate(net.body, val_inputs, mask_val, config.batch_size)
             else:  # the loss predates the step: a forward catches overflowed weights
-                with T.no_grad():
-                    logits = net.body(Tensor(train_inputs[idx])).data
+                logits = _forward_batches(net.body, train_inputs[idx],
+                                          config.batch_size)
                 if not np.isfinite(logits).all():
                     raise DomainError(f"non-finite logits after epoch {epoch}")
             record = {
@@ -188,6 +180,8 @@ def run_ablation(config: TrainConfig, log=print):
     if len(sar_test) == 0:
         # before any row trains: evaluate would reject the split only after
         raise ConfigurationError("ablation needs a nonempty test or val split")
+    # before any row trains: the GAN rows load it only after the body row
+    load_generator_from(config.gan_checkpoint)
     rows = []
     for name, ablation in ABLATION_ROWS:
         cfg = replace(config, ablation=ablation)
@@ -221,19 +215,17 @@ def export_maps(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray,
     """Thresholded {0,255} prediction masks plus input/truth/pred montages."""
     if len(sar) == 0:
         raise DomainError("cannot export maps of an empty split")
+    pred = np.where(predicted_masks(net, sar, batch_size), 255, 0).astype(np.uint8)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for start, fg in predicted_masks(net, sar, batch_size):
-        pred = np.where(fg, 255, 0).astype(np.uint8)
-        for j in range(pred.shape[0]):
-            i = start + j
-            pred_path = out / f"pred_{i:05d}.pgm"
-            write_pgm(pred_path, pred[j])
-            montage = np.concatenate([
-                quantize_u8(sar[i, 0]),
-                np.where(masks[i] > 0, 255, 0).astype(np.uint8),
-                pred[j]], axis=1)
-            write_pgm(out / f"montage_{i:05d}.pgm", montage)
-            written.append(str(pred_path))
+    for i in range(len(sar)):
+        pred_path = out / f"pred_{i:05d}.pgm"
+        write_pgm(pred_path, pred[i])
+        montage = np.concatenate([
+            quantize_u8(sar[i, 0]),
+            np.where(masks[i] > 0, 255, 0).astype(np.uint8),
+            pred[i]], axis=1)
+        write_pgm(out / f"montage_{i:05d}.pgm", montage)
+        written.append(str(pred_path))
     return written

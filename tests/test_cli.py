@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fusionseg import training
 from fusionseg.checkpoint import save_checkpoint
 from fusionseg.cli import main
 from fusionseg.config import TrainConfig, field_types
@@ -155,6 +156,16 @@ class TestTrainCmd:
         assert ((outs[0] / "last.ckpt").read_bytes()
                 == (outs[1] / "last.ckpt").read_bytes())
 
+    def test_out_dir_that_is_a_file_is_io_error(self, tiny_data, tmp_path,
+                                                capsys):
+        out = tmp_path / "run"
+        out.write_text("not a directory")
+        rc = main(["train", "--data-dir", str(tiny_data), "--out-dir", str(out),
+                   "--epochs", "1", "--image-size", "32", "--seed", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and ONE_ERROR_LINE.fullmatch(err)
+
     def test_missing_gan_checkpoint_is_config_error(self, tiny_data, tmp_path,
                                                     capsys):
         rc = main(["train", "--data-dir", str(tiny_data),
@@ -227,6 +238,14 @@ class TestEvalCmd:
         assert err.startswith("error:io:") and err.count("\n") == 1
         assert f"repeated tensor '{named[0][0]}'" in err
 
+    def test_missing_checkpoint_is_io_error(self, tmp_path, capsys):
+        rc = main(["eval", "--data-dir", str(tmp_path / "data"),
+                   "--checkpoint", str(tmp_path / "missing.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and ONE_ERROR_LINE.fullmatch(err)
+        assert "cannot read checkpoint" in err
+
 
 class TestExportMaps:
     def test_maps_two_valued_and_deterministic(self, tiny_data, tmp_path):
@@ -284,6 +303,48 @@ class TestAblateCmd:
         assert all(0.0 <= r["fwiou"] <= 1.0 for r in rows)
         table = capsys.readouterr().out
         assert "FwIoU" in table and table.count("\n") >= 6
+
+    @staticmethod
+    def _count_train(monkeypatch):
+        calls = []
+        real_train = training.train
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train", counted)
+        return calls
+
+    def test_missing_gan_checkpoint_trains_nothing(self, tiny_data, tmp_path,
+                                                   monkeypatch, capsys):
+        calls = self._count_train(monkeypatch)
+        rc = main(["ablate", "--data-dir", str(tiny_data),
+                   "--out-dir", str(tmp_path / "abl"),
+                   "--gan-checkpoint", str(tmp_path / "missing.ckpt"),
+                   "--epochs", "1", "--image-size", "32", "--seed", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and ONE_ERROR_LINE.fullmatch(err)
+        assert "no GAN checkpoint" in err
+        assert len(calls) == 0
+
+    def test_out_dir_that_is_a_file_trains_nothing(self, tiny_data, tmp_path,
+                                                   monkeypatch, capsys):
+        ckpt = tmp_path / "gan.ckpt"
+        main(["pretrain-gan", "--data-dir", str(tiny_data),
+              "--gan-checkpoint", str(ckpt), "--gan-iterations", "0"])
+        out = tmp_path / "abl"
+        out.write_text("not a directory")
+        capsys.readouterr()
+        calls = self._count_train(monkeypatch)
+        rc = main(["ablate", "--data-dir", str(tiny_data), "--out-dir", str(out),
+                   "--gan-checkpoint", str(ckpt), "--epochs", "1",
+                   "--image-size", "32", "--seed", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and ONE_ERROR_LINE.fullmatch(err)
+        assert len(calls) == 0
 
 
 class TestConfigFile:

@@ -132,6 +132,15 @@ class TestMakeDataset:
         assert sar.shape == (1, 1, 64, 64)
         assert set(np.unique(masks)) <= {0.0, 1.0}
 
+    def test_entry_naming_a_missing_image_is_io_error(self, tmp_path):
+        make_dataset(SceneSpec(image_size=32), tmp_path, 1, 0, 0, seed=0)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["splits"]["train"][0]["sar"] = "train/missing.pgm"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(IOError_, match="cannot read .*missing.pgm"):
+            load_split(tmp_path, "train")
+
     def test_byte_identical_regeneration(self, tmp_path):
         spec = SceneSpec()
         make_dataset(spec, tmp_path / "a", 3, 1, 1, seed=5)

@@ -144,6 +144,26 @@ def test_non_finite_logits_are_a_domain_error(bad, tmp_path):
         export_maps(stub, sar, masks, tmp_path, batch_size=2)
 
 
+def test_export_maps_writes_nothing_when_a_later_batch_is_non_finite(tmp_path):
+    rng = np.random.default_rng(3)
+    sar = rng.random((4, 1, 4, 4))
+    masks = (rng.random((4, 4, 4)) > 0.5).astype(np.float64)
+    calls = []
+
+    def stub(x):
+        calls.append(len(x.data))
+        logits = np.where(x.data > 0.5, 800.0, -800.0)
+        if len(calls) == 2:  # the second batch, which starts at index 2
+            logits[1, 0, 2, 3] = np.nan
+        return Tensor(logits)
+
+    maps = tmp_path / "maps"
+    with pytest.raises(DomainError, match="at index 2"):
+        export_maps(stub, sar, masks, maps, batch_size=2)
+    assert calls == [2, 2]
+    assert list(maps.glob("*.pgm")) == []
+
+
 def test_records_equal_the_metrics_file(full_config, tmp_path):
     path = tmp_path / "metrics.jsonl"
     _, records = train(full_config, metrics_path=path, log=None)
