@@ -102,8 +102,6 @@ def ls_loss(score: Tensor, target: float) -> Tensor:
 
 def cycle_loss(x: Tensor, x_rec: Tensor) -> Tensor:
     """Mean absolute reconstruction error, weighted by ``LAMBDA_CYC``."""
-    if x.data.shape != x_rec.data.shape:
-        raise DimensionError("cycle_loss shape mismatch")
     return T.scale(T.reduce_mean(T.absolute(T.add(x, T.scale(x_rec, -1.0)))),
                    LAMBDA_CYC)
 

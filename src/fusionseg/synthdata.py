@@ -10,6 +10,7 @@ dataset regenerates byte-identically.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,34 +33,24 @@ def write_pgm(path, image_u8) -> None:
         raise IOError_(f"cannot write {path}: {e}") from e
 
 
+# "P5", width, height and maxval 255, each after whitespace or "#" comments
+# that stop only at a line end (one way to match), then one whitespace byte
+_PGM_HEADER = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*".join(
+    [b"", rb"P5\s", rb"(\d+)\s", rb"(\d+)\s", rb"255\s"]))
+
+
 def read_pgm(path) -> np.ndarray:
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
         raise IOError_(f"cannot read {path}: {e}") from e
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        # skip whitespace and comment lines between header tokens
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != b"P5" or fields[3] != b"255":
+    header = _PGM_HEADER.match(raw)
+    if not header:
         raise IOError_(f"{path}: not an 8-bit P5 PGM")
-    if not (fields[1].isdigit() and fields[2].isdigit()):
-        raise IOError_(f"{path}: PGM extents are not decimal integers")
-    w, h = int(fields[1]), int(fields[2])
-    pos += 1  # single whitespace byte after maxval
-    if len(raw) - pos < w * h:
+    w, h = int(header[1]), int(header[2])
+    if len(raw) - header.end() < w * h:
         raise IOError_(f"{path}: truncated PGM pixel block")
-    data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
+    data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=header.end())
     return data.reshape(h, w).copy()
 
 

@@ -168,21 +168,30 @@ def _block_images(b, hout, wout, channels):
     return min(b, max(1, CONV_BLOCK_BYTES // (hout * wout * channels * 8)))
 
 
-def _conv_blocks(xc, wk, taps, out):
-    """Padded channels-last ``[B,Hp,Wp,C]`` times ``[T,C,O]`` taps into NCHW ``out``.
+def _conv_blocks(src, w, ty, tx, out):
+    """Channels-last ``src`` ``[B,Hp,Wp,C]`` times ``w`` ``[C,O,k,k]`` into NCHW ``out``.
 
-    ``taps`` holds T window slices of ``xc``, each ``[B,Ho,Wo,C]`` for the
-    ``[B,O,Ho,Wo]`` output, which may be a strided view. Per block of whole
-    images, tap 0 writes the block's accumulator, every other tap writes one
-    reused product buffer that is then added in, and the block is copied into
-    ``out``. An image's output is the same bits at any block size.
+    ``ty`` and ``tx`` list ``(tap, window)`` per axis: tap (i, j) adds window
+    ``src[:, wy, wx]`` (``[B,Ho,Wo,C]``) times ``w[:, :, i, j]`` into the
+    ``[B,O,Ho,Wo]`` ``out``, which may be a strided view and is zero if no tap
+    reaches it. Per block of whole images, tap 0 writes the block's
+    accumulator, every other tap writes one reused product buffer that is
+    then added in, and the block is copied into ``out``. An image's output is
+    the same bits at any block size.
     """
-    b, _, c, o = len(xc), *wk.shape
+    if not (ty and tx):
+        out[...] = 0
+        return
+    # np.array copies C-contiguous, where np.stack keeps a transposed slice's
+    # layout: strided [C,O] slices slow every GEMM and can change its bits
+    wk = np.array([w[:, :, i, j] for i, _ in ty for j, _ in tx])
+    taps = [(slice(None), wy, wx) for _, wy in ty for _, wx in tx]
+    b, _, c, o = len(src), *wk.shape
     hout, wout = out.shape[2:]
     nb = _block_images(b, hout, wout, max(c, o))
     acc, prod = np.empty((nb, hout, wout, o)), np.empty((nb, hout, wout, o))
     for s in range(0, b, nb):
-        xb = xc[s:s + nb]
+        xb = src[s:s + nb]
         a, p = acc[:len(xb)], prod[:len(xb)]
         np.matmul(xb[taps[0]], wk[0], out=a)
         for sl, wt in zip(taps[1:], wk[1:]):
@@ -208,7 +217,7 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
     at stride 2 no multiply is by an inserted zero. It is skipped when ``x``
     needs no gradient. The weight gradient copies each tap's window of a
     block into one reused buffer, runs one batched ``[nb,O,Ho*Wo] x
-    [nb,Ho*Wo,C]`` GEMM into a ``[k*k,B,O,C]`` buffer of per-image products,
+    [nb,Ho*Wo,C]`` GEMM into a ``[k,k,B,O,C]`` buffer of per-image products,
     and sums them over the images with one ``sum``. The output, each image's
     input gradient, and the weight gradient are the same bits at any block
     size.
@@ -235,32 +244,32 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
             f"conv2d output extent nonpositive for input {h}x{wd}, "
             f"k={k}, stride={stride}, dilation={dilation}, padding={padding}")
 
+    def taps(n):  # (tap, window of xc) for each tap along an axis of n outputs
+        return [(i, slice(i * dilation, i * dilation + stride * (n - 1) + 1, stride))
+                for i in range(k)]
+
     if k == 1 and stride == 1 and padding == 0:
         return reshape(matmul(reshape(w, (cout, cin)),
                               reshape(x, (b, cin, h * wd))), (b, cout, h, wd))
-    # one shifted window of the channels-last padded input per tap (i, j)
-    taps = [(slice(None),
-             slice(i * dilation, i * dilation + stride * (hout - 1) + 1, stride),
-             slice(j * dilation, j * dilation + stride * (wout - 1) + 1, stride))
-            for i in range(k) for j in range(k)]
+    ty, tx = taps(hout), taps(wout)
     xc = _channels_last(x.data, padding, h + 2 * padding, wd + 2 * padding)
-    # copied: the reshape is a view, and strided [C,O] slices slow every GEMM
-    wk = w.data.transpose(2, 3, 1, 0).reshape(k * k, cin, cout).copy()
     out = np.empty((b, cout, hout, wout))
-    _conv_blocks(xc, wk, taps, out)
+    _conv_blocks(xc, w.data.transpose(1, 0, 2, 3), ty, tx, out)
 
     def backward(g):
         nb = _block_images(b, hout, wout, max(cin, cout))
         g3 = g.reshape(b, cout, hout * wout)
         window = np.empty((nb, hout, wout, cin))
-        prods = np.empty((k * k, b, cout, cin))
+        prods = np.empty((k, k, b, cout, cin))
         for s in range(0, b, nb):
             xb, gb = xc[s:s + nb], g3[s:s + nb]
             win = window[:len(xb)]
-            for t, sl in enumerate(taps):
-                np.copyto(win, xb[sl])
-                np.matmul(gb, win.reshape(len(xb), -1, cin), out=prods[t, s:s + nb])
-        dw = prods.sum(axis=1).reshape(k, k, cout, cin).transpose(2, 3, 0, 1).copy()
+            for i, wy in ty:
+                for j, wx in tx:
+                    np.copyto(win, xb[:, wy, wx])
+                    np.matmul(gb, win.reshape(len(xb), -1, cin),
+                              out=prods[i, j, s:s + nb])
+        dw = prods.sum(axis=2).transpose(2, 3, 0, 1).copy()
         if not x.requires_grad:
             return (None, dw)
         # input row r + stride*q takes g row q + c through tap i, where
@@ -280,14 +289,8 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
 
         for ry in range(min(stride, h)):
             for rx in range(min(stride, wd)):
-                ty, tx = phase(ry, h), phase(rx, wd)
-                view = dx[:, :, ry::stride, rx::stride]
-                if not (ty and tx):
-                    view[...] = 0
-                    continue
-                wt = np.stack([w.data[:, :, i, j] for i, _ in ty for j, _ in tx])
-                _conv_blocks(gp, wt, [(slice(None), sy, sx)
-                                      for _, sy in ty for _, sx in tx], view)
+                _conv_blocks(gp, w.data, phase(ry, h), phase(rx, wd),
+                             dx[:, :, ry::stride, rx::stride])
         return (dx, dw)
 
     return _node(out, (x, w), backward)

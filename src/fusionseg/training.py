@@ -68,11 +68,13 @@ def _forward_batches(fn, x: np.ndarray, batch_size: int):
 
 
 def predicted_masks(net, sar: np.ndarray, batch_size: int) -> np.ndarray:
-    """Boolean foreground masks [N,H,W] of a nonempty split.
+    """Boolean foreground masks [N,H,W] of a split; an empty one is a DomainError.
 
     ``net`` maps an input batch to logits; a non-finite one is a DomainError
     that names the first index of its batch.
     """
+    if len(sar) == 0:
+        raise DomainError("cannot predict masks of an empty split")
     logits = _forward_batches(net, sar, batch_size)
     bad = np.argwhere(~np.isfinite(logits))
     if len(bad):
@@ -88,10 +90,7 @@ def evaluate(net, sar: np.ndarray, masks: np.ndarray, batch_size: int = 8):
     ``net`` is any callable from an input batch to logits: a ``FusionSegNet``
     on SAR images, or its ``body`` on inputs it has stitched already.
     """
-    if len(sar) == 0:
-        raise DomainError("cannot evaluate an empty split")
-    fg = predicted_masks(net, sar, batch_size)
-    counts = confusion_matrix(fg.astype(np.int64), masks.astype(np.int64), 2)
+    counts = confusion_matrix(predicted_masks(net, sar, batch_size), masks, 2)
     score = fwiou(counts)
     return {"fwiou": score, "fwiou_percent": 100.0 * score,
             "iou_per_class": [float(v) for v in iou_per_class(counts)],
@@ -102,9 +101,9 @@ def train(config: TrainConfig, metrics_path=None, checkpoint_path=None,
           best_checkpoint_path=None, log=print):
     """Full segmentation training run; returns (net, metrics records)."""
     sar_train, mask_train, _ = load_split(config.data_dir, "train")
-    sar_val, mask_val, _ = load_split(config.data_dir, "val")
     if len(sar_train) == 0:
         raise ConfigurationError("training split is empty")
+    sar_val, mask_val, _ = load_split(config.data_dir, "val")
     net = build_net(config)
     opt = AdamW(net.named_params(), config.weight_decay)
     rng = np.random.Generator(np.random.PCG64(config.seed + 7))
@@ -213,8 +212,6 @@ def format_ablation_table(rows) -> str:
 def export_maps(net: FusionSegNet, sar: np.ndarray, masks: np.ndarray,
                 out_dir, batch_size: int = 8):
     """Thresholded {0,255} prediction masks plus input/truth/pred montages."""
-    if len(sar) == 0:
-        raise DomainError("cannot export maps of an empty split")
     pred = np.where(predicted_masks(net, sar, batch_size), 255, 0).astype(np.uint8)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -83,6 +83,32 @@ def test_repeated_name_rejected_on_load(tmp_path):
         load_checkpoint(path)
 
 
+def test_shape_mismatch_rejected(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, [("p", np.zeros(2))])
+    with pytest.raises(IOError_, match="shape mismatch for 'p'"):
+        load_into_params(path, [("p", Tensor(np.zeros(3)))])
+
+
+def test_unsupported_version_rejected(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, [("p", np.zeros(2))])
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + b"\x02\x00" + raw[6:])
+    with pytest.raises(IOError_, match="unsupported checkpoint version 2"):
+        load_checkpoint(path)
+
+
+def test_non_utf8_name_rejected(tmp_path):
+    # the one-byte name "p" sits after the header and its u16 length
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, [("p", np.zeros(2))])
+    raw = path.read_bytes()
+    path.write_bytes(raw[:12] + b"\xff" + raw[13:])
+    with pytest.raises(IOError_, match="not UTF-8"):
+        load_checkpoint(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "x.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

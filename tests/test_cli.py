@@ -192,6 +192,22 @@ class TestTrainCmd:
         assert "non-finite logits after epoch 0" in err
         assert not (out / "last.ckpt").exists()
 
+    # the first step overflows the weights, so the second batch's loss is
+    # not finite; numpy warns on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_is_domain_error(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-data", "--data-dir", str(data), "--n-train", "8",
+                     "--n-val", "0", "--n-test", "0", "--seed", "3"]) == 0
+        rc = main(["train", "--data-dir", str(data), "--out-dir", str(out),
+                   "--batch-size", "4",
+                   "--lr-init", "1.7e308", "--lr-min", "1.7e308"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:domain:") and ONE_ERROR_LINE.fullmatch(err)
+        assert "non-finite composite loss at epoch 0" in err
+        assert not (out / "last.ckpt").exists()
+
 
 class TestEvalCmd:
     def test_eval_report(self, tiny_data, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionseg.config import TrainConfig, field_types
+from fusionseg.config import TrainConfig, field_types, read_json_object
 from fusionseg.errors import ConfigurationError
 from fusionseg.segnet import AblationConfig
 
@@ -52,3 +52,8 @@ def test_from_dict_gives_valid_config_or_config_error(known, junk, add_junk):
 def test_checked_when_built():
     with pytest.raises(ConfigurationError):
         TrainConfig(seed=-1)
+
+
+def test_missing_config_file(tmp_path):
+    with pytest.raises(ConfigurationError, match="config file not found"):
+        read_json_object(tmp_path / "missing.json")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +85,31 @@ class TestPgm:
         write_pgm(path, img)
         assert np.array_equal(read_pgm(path), img)
 
+    def test_header_comments_and_whitespace(self, tmp_path):
+        img = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"# lead\nP5\t# c\n\r4\n#\n 3 #x\n255\r" + img.tobytes())
+        assert np.array_equal(read_pgm(path), img)
+
+    @pytest.mark.parametrize("raw", [b"P5# c\n4 3\n255\n", b"P5\n4 3\n255#\n",
+                                     b"P5\n4 3\n0255\n", b"P6\n4 3\n255\n"])
+    def test_malformed_header_rejected(self, tmp_path, raw):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(raw + bytes(12))
+        with pytest.raises(IOError_, match="not an 8-bit P5 PGM"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("tail", [b"P6\n4 3\n255\n", b"P5\n4 3\n255"])
+    def test_hash_run_comment_fails_fast(self, tmp_path, tail):
+        # a comment must match one way only: a run of "#" that could split
+        # into many comments would make a failed match take exponential time
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"#" * 40 + b"\n" + tail)
+        start = time.perf_counter()
+        with pytest.raises(IOError_, match="not an 8-bit P5 PGM"):
+            read_pgm(path)
+        assert time.perf_counter() - start < 1.0
+
     def test_quantize(self):
         q = quantize_u8(np.array([0.0, 0.5, 1.0]))
         assert list(q) == [0, 128, 255]
@@ -139,6 +165,15 @@ class TestMakeDataset:
         manifest["splits"]["train"][0]["sar"] = "train/missing.pgm"
         path.write_text(json.dumps(manifest))
         with pytest.raises(IOError_, match="cannot read .*missing.pgm"):
+            load_split(tmp_path, "train")
+
+    def test_unknown_split_is_config_error(self, tmp_path):
+        make_dataset(SceneSpec(image_size=32), tmp_path, 1, 0, 0, seed=0)
+        with pytest.raises(ConfigurationError, match="unknown split 'holdout'"):
+            load_split(tmp_path, "holdout")
+
+    def test_missing_manifest_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="no dataset manifest"):
             load_split(tmp_path, "train")
 
     def test_byte_identical_regeneration(self, tmp_path):

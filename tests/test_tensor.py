@@ -115,6 +115,20 @@ class TestConv2d:
             T.conv2d(Tensor(np.zeros((1, 1, 3, 3))),
                      Tensor(np.zeros((1, 1, 3, 3))), dilation=2)
 
+    @pytest.mark.parametrize("x_shape,w_shape,kwargs,error,match", [
+        ((1, 1, 5, 5), (1, 1, 2, 2), {}, DimensionError, "square and odd"),
+        ((1, 1, 5, 5), (1, 1, 3, 1), {}, DimensionError, "square and odd"),
+        ((1, 2, 5, 5), (1, 3, 3, 3), {}, DimensionError, "channel mismatch"),
+        ((1, 1, 5, 5), (1, 1, 3, 3), {"stride": 0}, DomainError, "stride"),
+        ((1, 1, 5, 5), (1, 1, 3, 3), {"dilation": 0}, DomainError, "dilation"),
+        ((1, 1, 5, 5), (1, 1, 3, 3), {"padding": -1}, DomainError, "padding"),
+        ((1, 5, 5), (1, 1, 3, 3), {}, DimensionError, "4-d"),
+    ], ids=["even_kernel", "non_square_kernel", "channel_mismatch",
+            "zero_stride", "zero_dilation", "negative_padding", "3d_input"])
+    def test_rejects_bad_arguments(self, x_shape, w_shape, kwargs, error, match):
+        with pytest.raises(error, match=match):
+            T.conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), **kwargs)
+
     @pytest.mark.parametrize("k", [3, 1])
     def test_grad_check_strided_unpadded(self, k):
         # at stride 2 and padding 0 no tap reads the last row or column of 8x8

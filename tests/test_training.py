@@ -144,6 +144,26 @@ def test_non_finite_logits_are_a_domain_error(bad, tmp_path):
         export_maps(stub, sar, masks, tmp_path, batch_size=2)
 
 
+def test_evaluate_rejects_an_empty_split():
+    def stub(x):
+        raise AssertionError("no batch to run")
+
+    with pytest.raises(DomainError, match="empty split"):
+        evaluate(stub, np.zeros((0, 1, 4, 4)), np.zeros((0, 4, 4)))
+
+
+def test_empty_training_split_fails_before_the_val_split_is_read(tmp_path):
+    make_dataset(SceneSpec(image_size=32, seed=4), tmp_path, 0, 1, 0, 4)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["splits"]["val"][0] = {"sar": 1}
+    path.write_text(json.dumps(manifest))
+    config = TrainConfig(epochs=1, batch_size=2, seed=4, image_size=32,
+                         data_dir=str(tmp_path))
+    with pytest.raises(ConfigurationError, match="training split is empty"):
+        train(config, log=None)
+
+
 def test_export_maps_writes_nothing_when_a_later_batch_is_non_finite(tmp_path):
     rng = np.random.default_rng(3)
     sar = rng.random((4, 1, 4, 4))
