@@ -29,10 +29,6 @@ class AblationConfig:
         if self.use_combine and not self.use_gan:
             raise ConfigurationError("use_combine requires use_gan")
 
-    @property
-    def input_channels(self):
-        return 2 if (self.use_gan and self.use_combine) else 1
-
 
 def stitch_channels_input(sar: Tensor, cfg: AblationConfig,
                           generator: GeneratorNet | None) -> Tensor:
@@ -48,15 +44,6 @@ def stitch_channels_input(sar: Tensor, cfg: AblationConfig,
     return fake_optical
 
 
-class EncoderStage(Module):
-    def __init__(self, cin, cout, rng):
-        # a one-block list: the checkpoint names stay "stage<i>.b0.*"
-        self.b = [ConvBNRelu(cin, cout, 3, stride=2, padding=1, rng=rng)]
-
-    def __call__(self, x):
-        return self.b[0](x)
-
-
 class Encoder(Module):
     """Plain conv stack tapping features at strides 4 and 16."""
 
@@ -69,7 +56,7 @@ class Encoder(Module):
         prev = self.channels[0]
         self.stage = []
         for c in self.channels:
-            self.stage.append(EncoderStage(prev, c, rng))
+            self.stage.append(ConvBNRelu(prev, c, 3, stride=2, padding=1, rng=rng))
             prev = c
 
     def __call__(self, x):
@@ -129,19 +116,17 @@ class FusionSegNet(Module):
         self.cfg = cfg
         self._generator = generator  # frozen: "_" keeps it out of named_params
         rng = np.random.Generator(np.random.PCG64(seed))
-        c_in = cfg.input_channels
-        lift_out = self.lift_channels
+        c_in = 2 if cfg.use_combine else 1
         if cfg.use_attention:
-            self.attention = AttentionStage(c_in, self.attention_dim, lift_out,
-                                            s=self.attention_units, rng=rng)
-            self.lift = None
+            self.entry = AttentionStage(c_in, self.attention_dim,
+                                        self.lift_channels,
+                                        s=self.attention_units, rng=rng)
         else:
-            self.attention = None
-            self.lift = Conv2d(c_in, lift_out, 1, rng=rng)
-        self.encoder = Encoder(lift_out, rng=rng)
-        c_high = Encoder.high_channels
-        self.aspp = Aspp(c_high, c_high, self.aspp_rates, rng=rng)
-        self.decoder = Decoder(c_high, Encoder.low_channels,
+            self.entry = Conv2d(c_in, self.lift_channels, 1, rng=rng)
+        self.encoder = Encoder(self.lift_channels, rng=rng)
+        self.aspp = Aspp(Encoder.high_channels, Encoder.high_channels,
+                         self.aspp_rates, rng=rng)
+        self.decoder = Decoder(Encoder.high_channels, Encoder.low_channels,
                                self.decoder_channels, rng=rng)
 
     def __call__(self, sar: Tensor) -> Tensor:
@@ -152,11 +137,7 @@ class FusionSegNet(Module):
         return stitch_channels_input(sar, self.cfg, self._generator)
 
     def body(self, x: Tensor) -> Tensor:
-        """Logits from a stitched input: attention or lift, encoder, ASPP, decoder."""
-        if self.attention is not None:
-            x = self.attention(x)
-        else:
-            x = self.lift(x)
-        f_low, f_high = self.encoder(x)
+        """Logits from a stitched input: entry stage, encoder, ASPP, decoder."""
+        f_low, f_high = self.encoder(self.entry(x))
         f_high = self.aspp(f_high)
         return self.decoder(f_high, f_low)

@@ -1,6 +1,8 @@
 import json
 import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,8 +77,40 @@ class TestGenData:
         assert "image_size" in err
         assert not data.exists()
 
+    def test_negative_split_count_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        rc = main(["gen-data", "--data-dir", str(data), "--n-train", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and ONE_ERROR_LINE.fullmatch(err)
+        assert "split counts must be >= 0" in err
+        assert not data.exists()
+
+    def test_data_dir_that_is_a_file_is_io_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.write_text("not a directory")
+        rc = main(["gen-data", "--data-dir", str(data), "--n-train", "1",
+                   "--n-val", "0", "--n-test", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and ONE_ERROR_LINE.fullmatch(err)
+        assert "cannot create" in err
+
 
 class TestPretrainGanCmd:
+    def test_empty_train_split_writes_no_checkpoint(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--data-dir", str(data), "--image-size", "32",
+                     "--n-train", "0", "--n-val", "1", "--n-test", "1"]) == 0
+        ckpt_dir = tmp_path / "gan"
+        rc = main(["pretrain-gan", "--data-dir", str(data),
+                   "--gan-checkpoint", str(ckpt_dir / "gan.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:config:") and ONE_ERROR_LINE.fullmatch(err)
+        assert "no training data; run gen-data first" in err
+        assert not ckpt_dir.exists()
+
     def test_zero_iterations_and_log(self, tiny_data, tmp_path):
         ckpt = tmp_path / "gan.ckpt"
         rc = main(["pretrain-gan", "--data-dir", str(tiny_data),
@@ -166,6 +200,17 @@ class TestTrainCmd:
         err = capsys.readouterr().err
         assert err.startswith("error:io:") and ONE_ERROR_LINE.fullmatch(err)
 
+    def test_checkpoint_path_that_is_a_directory_is_io_error(
+            self, tiny_data, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "last.ckpt").mkdir(parents=True)
+        rc = main(["train", "--data-dir", str(tiny_data), "--out-dir", str(out),
+                   "--epochs", "1", "--image-size", "32", "--seed", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and ONE_ERROR_LINE.fullmatch(err)
+        assert "cannot write checkpoint" in err
+
     def test_missing_gan_checkpoint_is_config_error(self, tiny_data, tmp_path,
                                                     capsys):
         rc = main(["train", "--data-dir", str(tiny_data),
@@ -253,6 +298,26 @@ class TestEvalCmd:
         err = capsys.readouterr().err
         assert err.startswith("error:io:") and err.count("\n") == 1
         assert f"repeated tensor '{named[0][0]}'" in err
+
+    def test_checkpoint_with_pre_entry_names_is_io_error(self, tmp_path,
+                                                          capsys):
+        # a body net's arrays under the names from before the entry stage:
+        # "lift.w", and "encoder.stage<i>.b0.*" for each encoder stage
+        def old_name(name):
+            if name == "entry.w":
+                return "lift.w"
+            return re.sub(r"^(encoder\.stage\d+)\.", r"\1.b0.", name)
+        named = [(old_name(n), p.data) for n, p in
+                 build_net(TrainConfig()).named_params()]
+        assert named[0][0] == "lift.w"
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, named)
+        rc = main(["eval", "--data-dir", str(tmp_path / "data"),
+                   "--checkpoint", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and ONE_ERROR_LINE.fullmatch(err)
+        assert "missing tensor 'entry.w'" in err
 
     def test_missing_checkpoint_is_io_error(self, tmp_path, capsys):
         rc = main(["eval", "--data-dir", str(tmp_path / "data"),
@@ -541,3 +606,25 @@ def test_any_argv_exits_zero_or_one_error_line(tmp_path, monkeypatch, capsys,
     rc = main([command] + [t for arg in args for t in arg] + SMALL_RUN)
     err = capsys.readouterr().err
     assert rc == 0 or (rc == 1 and ONE_ERROR_LINE.fullmatch(err)), (rc, err)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# desk-scale budgets appended to each README line; argparse keeps a flag's
+# last value, so these override the README's own
+README_OVERRIDES = {"gen-data": ["--n-train", "8", "--n-val", "4",
+                                 "--n-test", "4"],
+                    "pretrain-gan": ["--gan-iterations", "2"],
+                    "train": ["--epochs", "1"], "ablate": ["--epochs", "1"]}
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", README.read_text(),
+                      re.M | re.S).group(1)
+    lines = [shlex.split(line)
+             for line in block.replace("\\\n", " ").splitlines()]
+    assert all(argv[0] == "fusionseg" for argv in lines)
+    assert sorted(argv[1] for argv in lines) == sorted(COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        rc = main(argv[1:] + README_OVERRIDES.get(argv[1], []))
+        assert rc == 0, argv

@@ -114,6 +114,10 @@ class TestConfusionMatrix:
         with pytest.raises(DomainError):
             confusion_matrix([2], [0], 2)
 
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError, match="mask shape mismatch"):
+            confusion_matrix(np.zeros((2, 3)), np.zeros((3, 2)), 2)
+
     def test_additive(self):
         rng = np.random.default_rng(4)
         a_t, a_p = rng.integers(0, 2, (2, 16))

@@ -19,7 +19,7 @@ def names(module):
 
 SEGNET_TAIL = (
     cbr("encoder.stem")
-    + [n for i in range(4) for n in cbr(f"encoder.stage{i}.b0")]
+    + [n for i in range(4) for n in cbr(f"encoder.stage{i}")]
     + cbr("aspp.one")
     + [n for i in range(3) for n in cbr(f"aspp.atrous{i}")]
     + ["aspp.pool.w"]
@@ -41,14 +41,14 @@ DISCRIMINATOR = cbr("c1") + cbr("c2") + ["head.w"]
 def test_full_segnet_names_exclude_the_generator():
     gen = GeneratorNet(np.random.default_rng(0))
     net = FusionSegNet(AblationConfig(True, True, True), seed=1, generator=gen)
-    assert names(net) == (["attention.lift.w", "attention.att.m_k",
-                           "attention.att.m_v", "attention.reduce.w"]
+    assert names(net) == (["entry.lift.w", "entry.att.m_k",
+                           "entry.att.m_v", "entry.reduce.w"]
                           + SEGNET_TAIL)
 
 
 def test_body_segnet_names():
     net = FusionSegNet(AblationConfig(), seed=1)
-    assert names(net) == ["lift.w"] + SEGNET_TAIL
+    assert names(net) == ["entry.w"] + SEGNET_TAIL
 
 
 def test_gan_pair_names():

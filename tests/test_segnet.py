@@ -168,8 +168,8 @@ class TestEndToEndGradients:
                                   bce_sigmoid_loss(logits, target))
 
         params = dict(net.named_params())
-        picks = ["attention.att.m_k", "attention.att.m_v",
-                 "attention.lift.w", "decoder.head.w",
+        picks = ["entry.att.m_k", "entry.att.m_v",
+                 "entry.lift.w", "decoder.head.w",
                  "encoder.stem.conv.w", "aspp.fuse.bn.gamma"]
         for name in picks:
             assert grad_check(loss_fn, params[name]) < 1e-3, name

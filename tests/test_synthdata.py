@@ -110,6 +110,12 @@ class TestPgm:
             read_pgm(path)
         assert time.perf_counter() - start < 1.0
 
+    def test_write_rejects_non_2d(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        with pytest.raises(IOError_, match="2-d uint8"):
+            write_pgm(path, np.zeros((2, 3, 4), dtype=np.uint8))
+        assert not path.exists()
+
     def test_quantize(self):
         q = quantize_u8(np.array([0.0, 0.5, 1.0]))
         assert list(q) == [0, 128, 255]
