@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .config import TrainConfig, field_types, read_json_object
-from .errors import ConfigurationError, FusionSegError
+from .errors import ConfigurationError, FusionSegError, IOError_
 from .gan import pretrain_gan
 from .segnet import AblationConfig
 from .synthdata import SceneSpec, load_split, make_dataset
@@ -62,13 +62,16 @@ def cmd_gen_data(config, args):
 
 
 def cmd_pretrain_gan(config, args):
+    ckpt = Path(config.gan_checkpoint)
+    if ckpt.name in ("", "..") or ckpt.is_dir():  # fail before any training
+        raise IOError_(f"cannot write checkpoint {ckpt}: not a file path")
     sar, _, optical = load_split(config.data_dir, "train")
     if len(sar) == 0:
         raise ConfigurationError("no training data; run gen-data first")
     # unpaired sets with the 300:50-style asymmetry: all SAR, a sixth optical
     n_opt = max(1, len(optical) // 6)
-    Path(config.gan_checkpoint).parent.mkdir(parents=True, exist_ok=True)
-    log_path = Path(config.gan_checkpoint).with_suffix(".losses.jsonl")
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
+    log_path = ckpt.with_suffix(".losses.jsonl")
     with open(log_path, "w") as fh:
         def log_fn(it, record):
             fh.write(json.dumps({"iteration": it, **record},

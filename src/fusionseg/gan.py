@@ -34,6 +34,13 @@ class ResidualBlock(Module):
         return T.add(self.bn2(self.conv2(self.bn1(self.conv1(x), relu=True))), x)
 
 
+class UpConvBNRelu(ConvBNRelu):
+    """A ``ConvBNRelu``, same names, after a nearest x2 upsample it never builds."""
+
+    def __call__(self, x):
+        return self.bn(T.upsample_conv2d(x, self.conv.w), relu=True)
+
+
 class GeneratorNet(Module):
     """Encoder-residual-decoder mapping [B,1,H,W] -> [B,1,H,W] in [0,1].
 
@@ -50,8 +57,9 @@ class GeneratorNet(Module):
         self.down2 = block(BASE, 2 * BASE, stride=2)
         self.res1 = ResidualBlock(2 * BASE, rng)
         self.res2 = ResidualBlock(2 * BASE, rng)
-        self.up1 = block(2 * BASE, BASE)
-        self.up2 = block(BASE, BASE)
+        up = partial(UpConvBNRelu, k=3, padding=1, rng=rng, norm=InstanceNorm2d)
+        self.up1 = up(2 * BASE, BASE)
+        self.up2 = up(BASE, BASE)
         self.final = Conv2d(BASE, 1, 1, zero_init=True)
 
     def __call__(self, x):
@@ -67,9 +75,7 @@ class GeneratorNet(Module):
                                  f"got H={height}, W={width}")
         h = self.down2(self.down1(x))
         h = self.res2(self.res1(h))
-        h = self.up1(T.upsample_nearest(h, 2))
-        h = self.up2(T.upsample_nearest(h, 2))
-        return self.final(h)
+        return self.final(self.up2(self.up1(h)))
 
 
 class DiscriminatorNet(Module):
@@ -121,7 +127,9 @@ class GanPair(Module):
 
 def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
                    lr: float) -> dict:
-    """One alternating update; returns the component losses."""
+    """One alternating update; returns the component losses, and as ``d_real`` and
+    ``d_fake`` the discriminator phase's mean scores (the mean of both nets'
+    means) on real and on fake images, both near 0.5 at the equilibrium."""
     if batch_x.data.shape[0] == 0 or batch_y.data.shape[0] == 0:
         raise DimensionError("gan_train_step requires nonempty batches")
 
@@ -140,8 +148,9 @@ def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
     pair.disc_opt.zero_grad()  # filled through the adversarial terms
 
     # discriminator phase (generators frozen; fakes detached)
-    loss_d_y = disc_loss(pair.d_y(batch_y), pair.d_y(fake_y.detach()))
-    loss_d_x = disc_loss(pair.d_x(batch_x), pair.d_x(fake_x.detach()))
+    real = (pair.d_y(batch_y), pair.d_x(batch_x))
+    fake = (pair.d_y(fake_y.detach()), pair.d_x(fake_x.detach()))
+    loss_d_y, loss_d_x = disc_loss(real[0], fake[0]), disc_loss(real[1], fake[1])
     disc_total = T.add(loss_d_y, loss_d_x)
     disc_total.backward()
     pair.disc_opt.step(lr)
@@ -150,6 +159,8 @@ def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
         "loss_g_xy": loss_g_xy.item(), "loss_g_yx": loss_g_yx.item(),
         "cycle_x": cyc_x.item(), "cycle_y": cyc_y.item(),
         "loss_d_x": loss_d_x.item(), "loss_d_y": loss_d_y.item(),
+        "d_real": float(np.mean([d.data.mean() for d in real])),
+        "d_fake": float(np.mean([d.data.mean() for d in fake])),
     }
 
 

@@ -176,8 +176,10 @@ def _conv_blocks(src, w, ty, tx, out):
     ``[B,O,Ho,Wo]`` ``out``, which may be a strided view and is zero if no tap
     reaches it. Per block of whole images, tap 0 writes the block's
     accumulator, every other tap writes one reused product buffer that is
-    then added in, and the block is copied into ``out``. An image's output is
-    the same bits at any block size.
+    then added in, and the block is copied into ``out``. A source of at most
+    9 tap-channels (``taps * C``: one channel) is one GEMM per block instead,
+    of its windows side by side in one ``[nb,Ho,Wo,taps*C]`` buffer. An
+    image's output is the same bits at any block size.
     """
     if not (ty and tx):
         out[...] = 0
@@ -186,18 +188,43 @@ def _conv_blocks(src, w, ty, tx, out):
     # layout: strided [C,O] slices slow every GEMM and can change its bits
     wk = np.array([w[:, :, i, j] for i, _ in ty for j, _ in tx])
     taps = [(slice(None), wy, wx) for _, wy in ty for _, wx in tx]
-    b, _, c, o = len(src), *wk.shape
+    b, t, c, o = len(src), *wk.shape
     hout, wout = out.shape[2:]
-    nb = _block_images(b, hout, wout, max(c, o))
-    acc, prod = np.empty((nb, hout, wout, o)), np.empty((nb, hout, wout, o))
+    fold = t * c <= 9  # per tap won from C=8: [8,8,64,64] -> 8 took 3.35 ms, not 6.43
+    nb = _block_images(b, hout, wout, max(t * c if fold else c, o))
+    acc, prod = (np.empty((nb, hout, wout, n)) for n in (o, t * c if fold else o))
     for s in range(0, b, nb):
         xb = src[s:s + nb]
         a, p = acc[:len(xb)], prod[:len(xb)]
-        np.matmul(xb[taps[0]], wk[0], out=a)
-        for sl, wt in zip(taps[1:], wk[1:]):
-            np.matmul(xb[sl], wt, out=p)
-            a += p
+        if fold:
+            for n, sl in enumerate(taps):
+                p[..., n * c:(n + 1) * c] = xb[sl]
+            np.matmul(p.reshape(-1, t * c), wk.reshape(-1, o), out=a.reshape(-1, o))
+        else:
+            np.matmul(xb[taps[0]], wk[0], out=a)
+            for sl, wt in zip(taps[1:], wk[1:]):
+                np.matmul(xb[sl], wt, out=p)
+                a += p
         out[s:s + nb] = a.transpose(0, 3, 1, 2)
+
+
+def _tap_products(src, g, ty, tx):
+    """The ``[len(ty),len(tx),O,C]`` weight gradient of ``_conv_blocks(src, w, ty,
+    tx, out)`` for ``out``'s gradient ``g``, as ``conv2d`` describes it."""
+    (b, o, hout, wout), c = g.shape, src.shape[3]
+    nb = _block_images(b, hout, wout, max(c, o))
+    g3 = g.reshape(b, o, hout * wout)
+    window = np.empty((nb, hout, wout, c))
+    prods = np.empty((len(ty), len(tx), b, o, c))
+    for s in range(0, b, nb):
+        xb, gb = src[s:s + nb], g3[s:s + nb]
+        win = window[:len(xb)]
+        for i, (_, wy) in enumerate(ty):
+            for j, (_, wx) in enumerate(tx):
+                np.copyto(win, xb[:, wy, wx])
+                np.matmul(gb, win.reshape(len(xb), -1, c),
+                          out=prods[i, j, s:s + nb])
+    return prods.sum(axis=2)
 
 
 def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
@@ -206,7 +233,8 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
     The input is copied once, channels-last, so each tap (i, j) is a strided
     window ``[B,Ho,Wo,C]`` times ``w[:, :, i, j].T`` (``[C,O]``), a GEMM with
     no im2col buffer, run over blocks of whole images that fit
-    ``CONV_BLOCK_BYTES`` (``_conv_blocks``); the tape keeps the copy.
+    ``CONV_BLOCK_BYTES`` (``_conv_blocks``, which folds a one-channel
+    source's taps into one GEMM); the tape keeps the copy.
 
     The input gradient runs through the same kernel as a transposed conv: g
     is copied once, channels-last, into a zero-padded buffer, and each of
@@ -215,12 +243,12 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
     reach it, in and out channels swapped, written into its strided view of
     the input gradient. At stride 1 that is one conv with the flipped kernel;
     at stride 2 no multiply is by an inserted zero. It is skipped when ``x``
-    needs no gradient. The weight gradient copies each tap's window of a
-    block into one reused buffer, runs one batched ``[nb,O,Ho*Wo] x
-    [nb,Ho*Wo,C]`` GEMM into a ``[k,k,B,O,C]`` buffer of per-image products,
-    and sums them over the images with one ``sum``. The output, each image's
-    input gradient, and the weight gradient are the same bits at any block
-    size.
+    needs no gradient. The weight gradient (``_tap_products``) copies each
+    tap's window of a block into one reused buffer, runs one batched
+    ``[nb,O,Ho*Wo] x [nb,Ho*Wo,C]`` GEMM into a ``[k,k,B,O,C]`` buffer of
+    per-image products, and sums them over the images with one ``sum``. The
+    output, each image's input gradient, and the weight gradient are the same
+    bits at any block size.
 
     An unstrided, unpadded 1x1 conv copies nothing: NCHW viewed as
     ``[B,C,H*W]`` is one ``[O,C] x [B,C,H*W]`` ``matmul``, whose tape gives
@@ -257,19 +285,7 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
     _conv_blocks(xc, w.data.transpose(1, 0, 2, 3), ty, tx, out)
 
     def backward(g):
-        nb = _block_images(b, hout, wout, max(cin, cout))
-        g3 = g.reshape(b, cout, hout * wout)
-        window = np.empty((nb, hout, wout, cin))
-        prods = np.empty((k, k, b, cout, cin))
-        for s in range(0, b, nb):
-            xb, gb = xc[s:s + nb], g3[s:s + nb]
-            win = window[:len(xb)]
-            for i, wy in ty:
-                for j, wx in tx:
-                    np.copyto(win, xb[:, wy, wx])
-                    np.matmul(gb, win.reshape(len(xb), -1, cin),
-                              out=prods[i, j, s:s + nb])
-        dw = prods.sum(axis=2).transpose(2, 3, 0, 1).copy()
+        dw = _tap_products(xc, g, ty, tx).transpose(2, 3, 0, 1).copy()
         if not x.requires_grad:
             return (None, dw)
         # input row r + stride*q takes g row q + c through tap i, where
@@ -291,6 +307,55 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
             for rx in range(min(stride, wd)):
                 _conv_blocks(gp, w.data, phase(ry, h), phase(rx, wd),
                              dx[:, :, ry::stride, rx::stride])
+        return (dx, dw)
+
+    return _node(out, (x, w), backward)
+
+
+# UPSAMPLE_TAPS[r, a, i] is 1 where 3x3 tap i reads window r + a of the
+# 1-padded input on phase r of a nearest x2 upsample's output: phase 0 takes
+# w0 at window 0 and w1+w2 at window 1, phase 1 w0+w1 at 1 and w2 at 2
+UPSAMPLE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], float)
+
+
+def upsample_conv2d(x: Tensor, w: Tensor) -> Tensor:
+    """``conv2d(upsample_nearest(x, 2), w, padding=1)`` for a 3x3 ``w``, never upsampled.
+
+    Output phase (ry, rx), rows ``ry::2`` and columns ``rx::2``, is a 2x2 conv
+    of the 1-padded input by ``w``'s taps summed through ``UPSAMPLE_TAPS``
+    (Shi et al., arXiv 1609.05158). Backward maps each phase's weight
+    gradient back through the map and sums the phases' transposed convs.
+    """
+    if x.data.ndim != 4 or w.data.shape[1:] != (x.data.shape[1], 3, 3):
+        raise DimensionError("upsample_conv2d needs a 4-d input and a [O,C,3,3] "
+                             f"weight, got {x.data.shape} and {w.data.shape}")
+    (b, cin, h, wd), cout = x.data.shape, w.data.shape[0]
+    # kernels[ry, rx] is phase (ry, rx)'s [O,C,2,2] weight
+    kernels = np.einsum("yai,xbj,ocij->yxocab", UPSAMPLE_TAPS, UPSAMPLE_TAPS, w.data)
+    xc = _channels_last(x.data, 1, h + 2, wd + 2)
+    out = np.empty((b, cout, 2 * h, 2 * wd))
+    phases = [(ry, rx) for ry in (0, 1) for rx in (0, 1)]
+
+    def taps(r, n, flip=False):  # (tap, window) of phase r; of g's padded copy if flip
+        starts = (2 - r, 1 - r) if flip else (r, r + 1)
+        return [(a, slice(s, s + n)) for a, s in enumerate(starts)]
+
+    for ry, rx in phases:
+        _conv_blocks(xc, kernels[ry, rx].transpose(1, 0, 2, 3), taps(ry, h),
+                     taps(rx, wd), out[:, :, ry::2, rx::2])
+
+    def backward(g):
+        prods = [_tap_products(xc, g[:, :, ry::2, rx::2], taps(ry, h), taps(rx, wd))
+                 for ry, rx in phases]
+        dw = np.einsum("yai,xbj,yxaboc->ocij", UPSAMPLE_TAPS, UPSAMPLE_TAPS,
+                       np.reshape(prods, (2, 2, 2, 2, cout, cin)), order="C")
+        if not x.requires_grad:
+            return (None, dw)
+        dx, part = np.zeros((b, cin, h, wd)), np.empty((b, cin, h, wd))
+        for ry, rx in phases:
+            gp = _channels_last(g[:, :, ry::2, rx::2], 1, h + 2, wd + 2)
+            _conv_blocks(gp, kernels[ry, rx], taps(ry, h, True), taps(rx, wd, True), part)
+            dx += part
         return (dx, dw)
 
     return _node(out, (x, w), backward)

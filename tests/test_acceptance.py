@@ -128,6 +128,11 @@ def test_criterion_1_gradient_suite():
         return f
     check("gan_losses", gan_fn, lambda: t_rand(6))
 
+    def upsample_conv_fn(leaf):
+        w = Tensor(rng.normal(size=(2, 2, 3, 3)) * 0.5)
+        return lambda t: sq_sum(T.upsample_conv2d(t, w))
+    check("upsample_conv2d", upsample_conv_fn, lambda: t_rand(1, 2, 3, 4))
+
     elapsed = time.monotonic() - t0
     overall = max(worst.values())
     report(1, "gradient suite", overall < 1e-4 and elapsed < 120,
@@ -227,6 +232,8 @@ def test_criterion_5_gan_desk_run():
     first10 = float(np.mean(cyc[:10]))
     final = float(np.mean(cyc[-10:]))
     ratio = final / first10
+    d_real = float(np.mean([r["d_real"] for r in records[-10:]]))
+    d_fake = float(np.mean([r["d_fake"] for r in records[-10:]]))
 
     # freeze discipline, bitwise: with the discriminator update skipped, a
     # step moves the generators and leaves the discriminators untouched
@@ -245,7 +252,7 @@ def test_criterion_5_gan_desk_run():
     report(5, "GAN desk run",
            ratio <= 0.5 and frozen_ok and gen_moved and elapsed < 600,
            f"cycle_ratio={ratio:.3f} frozen={frozen_ok} gen_moved={gen_moved}"
-           f" runtime={elapsed:.0f}s")
+           f" d_real={d_real:.3f} d_fake={d_fake:.3f} runtime={elapsed:.0f}s")
 
 
 # -- criterion 6: end-to-end desk run ----------------------------------------

@@ -111,6 +111,20 @@ class TestPretrainGanCmd:
         assert "no training data; run gen-data first" in err
         assert not ckpt_dir.exists()
 
+    @pytest.mark.parametrize("path", [".", "/", ".."],
+                             ids=["dot", "root", "dotdot"])
+    def test_checkpoint_path_that_names_no_file_is_io_error(
+            self, tiny_data, tmp_path, monkeypatch, capsys, path):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        rc = main(["pretrain-gan", "--data-dir", str(tiny_data),
+                   "--gan-checkpoint", path, "--gan-iterations", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:io:") and ONE_ERROR_LINE.fullmatch(err)
+        assert not list(tmp_path.rglob("*.losses.jsonl"))
+
     def test_zero_iterations_and_log(self, tiny_data, tmp_path):
         ckpt = tmp_path / "gan.ckpt"
         rc = main(["pretrain-gan", "--data-dir", str(tiny_data),

@@ -6,7 +6,7 @@ from fusionseg.errors import ConfigurationError, DimensionError, DomainError
 from fusionseg.gan import (GanPair, GeneratorNet,
                            cycle_loss, disc_loss, gan_train_step, ls_loss,
                            pretrain_gan)
-from fusionseg.layers import BatchNorm2d
+from fusionseg.layers import BatchNorm2d, ConvBNRelu, InstanceNorm2d
 from fusionseg.tensor import Tensor
 from gradcheck import grad_check
 
@@ -57,6 +57,18 @@ class TestGenerator:
             np.testing.assert_allclose(g(Tensor(x[i:i + 1])).data[0],
                                        batched[i], rtol=0, atol=1e-12)
 
+    def test_up_blocks_keep_conv_bn_relu_params_and_maths(self):
+        # an up block holds a ConvBNRelu's parameters under its names, so a
+        # GAN checkpoint loads as it is, and computes that block after a
+        # nearest x2 upsample
+        up = GeneratorNet(np.random.default_rng(34)).up1
+        ref = ConvBNRelu(16, 8, 3, padding=1, rng=np.random.default_rng(0),
+                         norm=InstanceNorm2d)
+        assert ([(n, p.data.shape) for n, p in up.named_params()]
+                == [(n, p.data.shape) for n, p in ref.named_params()])
+        x = Tensor(np.random.default_rng(35).normal(size=(2, 16, 5, 6)))
+        want = ConvBNRelu.__call__(up, T.upsample_nearest(x, 2)).data
+        assert np.abs(up(x).data - want).max() < 1e-12
 
 class TestDiscriminator:
     def test_score_does_not_depend_on_the_batch(self):
@@ -169,6 +181,30 @@ class TestTrainStep:
         pair.gen_opt.step(1e-3)
         for before, p in zip(d_before, pair.disc_opt.params):
             assert np.array_equal(before, p.data)
+
+    def test_generators_build_no_upsampled_array(self, monkeypatch):
+        calls = []
+        upsample = T.upsample_nearest
+        monkeypatch.setattr(T, "upsample_nearest",
+                            lambda *a: calls.append(1) or upsample(*a))
+        rng = np.random.default_rng(19)
+        gan_train_step(GanPair(seed=20), toy_batch(rng), toy_batch(rng), 1e-3)
+        assert calls == []
+
+    def test_record_holds_the_discriminator_phase_scores(self):
+        # with both steps skipped, the nets after the step score as they did
+        # in its discriminator phase
+        rng = np.random.default_rng(21)
+        bx, by = toy_batch(rng), toy_batch(rng)
+        pair = GanPair(seed=22)
+        pair.gen_opt.step = pair.disc_opt.step = lambda lr: None
+        record = gan_train_step(pair, bx, by, 1e-3)
+        real = [pair.d_y(by).data.mean(), pair.d_x(bx).data.mean()]
+        fake = [pair.d_y(pair.g_xy(bx)).data.mean(),
+                pair.d_x(pair.g_yx(by)).data.mean()]
+        assert record["d_real"] == float(np.mean(real))
+        assert record["d_fake"] == float(np.mean(fake))
+        assert 0.0 < record["d_fake"] < 1.0 and 0.0 < record["d_real"] < 1.0
 
     def test_rejects_empty_batch(self):
         pair = GanPair(seed=18)

@@ -54,8 +54,18 @@ class TestMatmul:
             T.matmul(Tensor(np.ones(shapes[0])), Tensor(np.ones(shapes[1])))
 
 
-CONV_CASES = [(k, s, d, p) for k in (1, 3) for s in (1, 2) for d in (1, 2, 4)
-              for p in sorted({0, 1, d})]
+def conv_case(k, s, d, p, cin=3):
+    """One (k, stride, dilation, padding, input channels) case; the id names
+    the channels only when they are not 3."""
+    return pytest.param(k, s, d, p, cin, id="-".join(map(str, (k, s, d, p)))
+                        + ("" if cin == 3 else f"-cin{cin}"))
+
+
+# a one-channel 3x3 conv runs _conv_blocks' folded GEMM (9 tap-channels)
+CONV_CASES = ([conv_case(k, s, d, p) for k in (1, 3) for s in (1, 2)
+               for d in (1, 2, 4) for p in sorted({0, 1, d})]
+              + [conv_case(3, s, d, p, cin=1) for s in (1, 2) for d in (1, 2)
+                 for p in sorted({0, 1, d})])
 
 
 def direct_conv(x, w, g, stride, dilation, padding):
@@ -148,10 +158,10 @@ class TestConv2d:
         assert np.all(x.grad[:, :, -1, :] == 0) and np.all(x.grad[:, :, :, -1] == 0)
 
     @staticmethod
-    def check_direct(batch, k, stride, dilation, padding):
+    def check_direct(batch, k, stride, dilation, padding, cin):
         rng = np.random.default_rng(7)
-        x = rand(rng, batch, 3, 11, 10)
-        w = rand(rng, 5, 3, k, k)
+        x = rand(rng, batch, cin, 11, 10)
+        w = rand(rng, 5, cin, k, k)
         out = T.conv2d(x, w, stride, dilation, padding)
         g = rng.normal(size=out.data.shape)
         T.reduce_sum(T.mul(out, Tensor(g))).backward()
@@ -162,36 +172,40 @@ class TestConv2d:
             assert np.abs(got - want).max() < 1e-12
 
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("k,stride,dilation,padding", CONV_CASES)
-    def test_matches_direct_conv(self, batch, k, stride, dilation, padding):
-        self.check_direct(batch, k, stride, dilation, padding)
+    @pytest.mark.parametrize("k,stride,dilation,padding,cin", CONV_CASES)
+    def test_matches_direct_conv(self, batch, k, stride, dilation, padding, cin):
+        self.check_direct(batch, k, stride, dilation, padding, cin)
 
     @pytest.mark.parametrize("per_block", [1, 2])
-    @pytest.mark.parametrize("k,stride,dilation,padding", CONV_CASES)
+    @pytest.mark.parametrize("k,stride,dilation,padding,cin", CONV_CASES)
     def test_blocks_match_direct_conv(self, monkeypatch, per_block, k, stride,
-                                      dilation, padding):
+                                      dilation, padding, cin):
         # 3 images in blocks of one, or of two and a short last block; the
         # 5 output channels are the larger product of the two directions
+        # (and of a one-channel source's 9 folded tap-channels, so its blocks
+        # are a little smaller)
         ho = T.conv_output_extent(11, k, stride, dilation, padding)
         wo = T.conv_output_extent(10, k, stride, dilation, padding)
         monkeypatch.setattr(T, "CONV_BLOCK_BYTES", per_block * ho * wo * 5 * 8)
-        self.check_direct(3, k, stride, dilation, padding)
+        self.check_direct(3, k, stride, dilation, padding, cin)
 
     def test_blocks_give_the_same_bits(self, monkeypatch):
         # 4 channels of a 16x16 input give 5 images at 16x16 (8 KB an image)
         # or 8x8 (2 KB an image) outputs; they run in blocks of 2, 2 and 1;
-        # one block, or one image alone, gives the same bits
+        # one block, or one image alone, gives the same bits. One input
+        # channel folds 9 taps into one GEMM, whose buffer has 9 channels
         rng = np.random.default_rng(9)
         x0, w0 = rng.normal(size=(5, 4, 16, 16)), rng.normal(size=(4, 4, 3, 3))
-        for stride, dilation, padding in ((1, 1, 1), (2, 1, 1), (1, 2, 2)):
+        for cin, stride, dilation, padding in ((4, 1, 1, 1), (4, 2, 1, 1),
+                                               (4, 1, 2, 2), (1, 2, 1, 1)):
             ho = T.conv_output_extent(16, 3, stride, dilation, padding)
-            per_image = ho * ho * 4 * 8
+            per_image = ho * ho * (9 if cin == 1 else 4) * 8
             g = rng.normal(size=(5, 4, ho, ho))
 
             def run(block_bytes, rows=slice(None)):
                 monkeypatch.setattr(T, "CONV_BLOCK_BYTES", block_bytes)
-                x = Tensor(x0[rows], requires_grad=True)
-                w = Tensor(w0, requires_grad=True)
+                x = Tensor(x0[rows, :cin], requires_grad=True)
+                w = Tensor(w0[:, :cin], requires_grad=True)
                 out = T.conv2d(x, w, stride, dilation, padding)
                 T.reduce_sum(T.mul(out, Tensor(g[rows]))).backward()
                 return out.data, x.grad, w.grad
@@ -278,6 +292,86 @@ class TestConv2d:
             tracemalloc.stop()
         padded = 8 * 16 * (32 + 2 * padding) ** 2 * 8 if padding else 0
         assert held - out.data.nbytes - padded < 64 * 1024
+
+
+class TestUpsampleConv2d:
+    @staticmethod
+    def both(x0, w0, g):
+        """Output, dx and dw of the op and of the composition it replaces."""
+        results = []
+        for op in (T.upsample_conv2d, lambda x, w: T.conv2d(
+                T.upsample_nearest(x, 2), w, padding=1)):
+            x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+            out = op(x, w)
+            T.reduce_sum(T.mul(out, Tensor(g))).backward()
+            results.append((out.data, x.grad, w.grad))
+        return results
+
+    @pytest.mark.parametrize("shape", [(1, 3, 5, 6), (3, 2, 5, 6), (2, 1, 3, 7)],
+                             ids=["batch1_odd_h", "batch3", "one_channel"])
+    def test_matches_composition(self, shape):
+        rng = np.random.default_rng(13)
+        b, c, h, wd = shape
+        x0, w0 = rng.normal(size=shape), rng.normal(size=(4, c, 3, 3))
+        g = rng.normal(size=(b, 4, 2 * h, 2 * wd))
+        for got, want in zip(*self.both(x0, w0, g)):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_blocks_give_the_same_bits(self, monkeypatch):
+        # 5 images of [2,3,5,6] in blocks of 2, 2 and 1, or in one block, or
+        # one image alone
+        rng = np.random.default_rng(14)
+        x0, w0 = rng.normal(size=(5, 3, 5, 6)), rng.normal(size=(4, 3, 3, 3))
+        g = rng.normal(size=(5, 4, 10, 12))
+
+        def run(block_bytes, rows=slice(None)):
+            monkeypatch.setattr(T, "CONV_BLOCK_BYTES", block_bytes)
+            x = Tensor(x0[rows], requires_grad=True)
+            w = Tensor(w0, requires_grad=True)
+            out = T.upsample_conv2d(x, w)
+            T.reduce_sum(T.mul(out, Tensor(g[rows]))).backward()
+            return out.data, x.grad, w.grad
+
+        per_image = 5 * 6 * 12 * 8  # a phase's [5,6] output, 12 tap-channels
+        blocked, whole = run(3 * per_image - 1), run(5 * per_image)
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want)
+        for i in range(5):
+            alone = run(5 * per_image, slice(i, i + 1))
+            assert np.array_equal(alone[0], whole[0][i:i + 1])
+            assert np.array_equal(alone[1], whole[1][i:i + 1])
+
+    @pytest.mark.parametrize("leaf", ["x", "w"])
+    def test_grad_check(self, leaf):
+        rng = np.random.default_rng(15)
+        x, w = rand(rng, 2, 2, 3, 4), rand(rng, 3, 2, 3, 3)
+
+        def loss(_):
+            out = T.upsample_conv2d(x, w)
+            return T.reduce_sum(T.mul(out, out))
+
+        assert grad_check(loss, x if leaf == "x" else w) < 1e-4
+
+    def test_no_input_gradient_when_input_needs_none(self):
+        rng = np.random.default_rng(16)
+        x0, w0 = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, 3, 3))
+        grads = []
+        for needs in (False, True):
+            x, w = Tensor(x0, requires_grad=needs), Tensor(w0, requires_grad=True)
+            out = T.upsample_conv2d(x, w)
+            T.reduce_sum(T.mul(out, out)).backward()
+            grads.append((x.grad, w.grad))
+        assert grads[0][0] is None and grads[1][0] is not None
+        assert np.array_equal(grads[0][1], grads[1][1])
+
+    @pytest.mark.parametrize("x_shape,w_shape", [
+        ((1, 2, 4, 4), (3, 2, 1, 1)), ((1, 2, 4, 4), (3, 2, 5, 5)),
+        ((2, 4, 4), (3, 2, 3, 3)), ((1, 2, 4, 4), (3, 1, 3, 3)),
+    ], ids=["1x1_weight", "5x5_weight", "3d_input", "channel_mismatch"])
+    def test_rejects_bad_shapes(self, x_shape, w_shape):
+        with pytest.raises(DimensionError):
+            T.upsample_conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)))
 
 
 class TestPointwise:
