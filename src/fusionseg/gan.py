@@ -130,14 +130,19 @@ def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
     """One alternating update; returns the component losses, and as ``d_real`` and
     ``d_fake`` the discriminator phase's mean scores (the mean of both nets'
     means) on real and on fake images, both near 0.5 at the equilibrium."""
-    if batch_x.data.shape[0] == 0 or batch_y.data.shape[0] == 0:
+    n, m = batch_x.data.shape[0], batch_y.data.shape[0]
+    if n == 0 or m == 0:
         raise DimensionError("gan_train_step requires nonempty batches")
+    if batch_x.data.shape[1:] != batch_y.data.shape[1:]:
+        raise DimensionError("gan_train_step needs one image shape in both domains, "
+                             f"got {batch_x.data.shape} and {batch_y.data.shape}")
 
-    # generator phase (discriminators frozen: their params are not stepped)
-    fake_y = pair.g_xy(batch_x)
+    # generator phase (discriminators frozen: their params are not stepped);
+    # g_xy runs once on [x, fake_x], so the phase makes three generator calls
     fake_x = pair.g_yx(batch_y)
+    both = pair.g_xy(T.concat_batch([batch_x, fake_x]))
+    fake_y, rec_y = T.batch_slice(both, 0, n), T.batch_slice(both, n, n + m)
     rec_x = pair.g_yx(fake_y)
-    rec_y = pair.g_xy(fake_x)
     loss_g_xy = ls_loss(pair.d_y(fake_y), 1.0)
     loss_g_yx = ls_loss(pair.d_x(fake_x), 1.0)
     cyc_x = cycle_loss(batch_x, rec_x)

@@ -561,16 +561,18 @@ def concat_batch(tensors) -> Tensor:
     return _concat(tensors, 0)
 
 
-def batch_slice(x: Tensor, i: int) -> Tensor:
-    if not 0 <= i < x.data.shape[0]:
-        raise DimensionError(f"batch index {i} out of range")
+def batch_slice(x: Tensor, start: int, stop: int) -> Tensor:
+    """A copy of images ``start:stop``; their gradient lands in zeros shaped like x."""
+    if not 0 <= start < stop <= x.data.shape[0]:
+        raise DimensionError(f"batch range {start}:{stop} out of range "
+                             f"for {x.data.shape[0]} images")
 
     def backward(g):
         dx = np.zeros_like(x.data)
-        dx[i:i + 1] = g
+        dx[start:stop] = g
         return (dx,)
 
-    return _node(x.data[i:i + 1].copy(), (x,), backward)
+    return _node(x.data[start:stop].copy(), (x,), backward)
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:

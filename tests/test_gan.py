@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from fusionseg import tensor as T
 from fusionseg.errors import ConfigurationError, DimensionError, DomainError
-from fusionseg.gan import (GanPair, GeneratorNet,
+from fusionseg.gan import (DiscriminatorNet, GanPair, GeneratorNet,
                            cycle_loss, disc_loss, gan_train_step, ls_loss,
                            pretrain_gan)
 from fusionseg.layers import BatchNorm2d, ConvBNRelu, InstanceNorm2d
@@ -13,6 +15,24 @@ from gradcheck import grad_check
 
 def toy_batch(rng, n=2, size=16):
     return Tensor(rng.random((n, 1, size, size)))
+
+
+def four_call_record(pair, bx, by):
+    """A step's record from four separate generator calls, with no update:
+    every value in it predates both optimizer steps."""
+    fake_y, fake_x = pair.g_xy(bx), pair.g_yx(by)
+    rec_x, rec_y = pair.g_yx(fake_y), pair.g_xy(fake_x)
+    real, fake = (pair.d_y(by), pair.d_x(bx)), (pair.d_y(fake_y), pair.d_x(fake_x))
+    return {
+        "loss_g_xy": ls_loss(fake[0], 1.0).item(),
+        "loss_g_yx": ls_loss(fake[1], 1.0).item(),
+        "cycle_x": cycle_loss(bx, rec_x).item(),
+        "cycle_y": cycle_loss(by, rec_y).item(),
+        "loss_d_x": disc_loss(real[1], fake[1]).item(),
+        "loss_d_y": disc_loss(real[0], fake[0]).item(),
+        "d_real": float(np.mean([d.data.mean() for d in real])),
+        "d_fake": float(np.mean([d.data.mean() for d in fake])),
+    }
 
 
 class TestGenerator:
@@ -189,6 +209,46 @@ class TestTrainStep:
                             lambda *a: calls.append(1) or upsample(*a))
         rng = np.random.default_rng(19)
         gan_train_step(GanPair(seed=20), toy_batch(rng), toy_batch(rng), 1e-3)
+        assert calls == []
+
+    def test_generator_phase_makes_three_calls(self, monkeypatch):
+        sizes = []
+        call = GeneratorNet.__call__
+        monkeypatch.setattr(GeneratorNet, "__call__",
+                            lambda self, x: sizes.append(len(x.data)) or call(self, x))
+        rng = np.random.default_rng(33)
+        gan_train_step(GanPair(seed=34), toy_batch(rng, n=1), toy_batch(rng, n=1),
+                       1e-3)
+        assert sizes == [1, 2, 1]
+
+    def test_first_step_equals_four_call_reference_bitwise(self):
+        # each image's forward is per image, so one g_xy call on [x, fake_x]
+        # gives the bits of two separate calls
+        rng = np.random.default_rng(35)
+        bx, by = toy_batch(rng, n=1), toy_batch(rng, n=1)
+        record = gan_train_step(GanPair(seed=36), bx, by, 1e-3)
+        assert record == four_call_record(GanPair(seed=36), bx, by)
+
+    def test_unequal_batches_split_where_the_x_images_end(self):
+        rng = np.random.default_rng(37)
+        bx, by = toy_batch(rng, n=2), toy_batch(rng, n=3)
+        record = gan_train_step(GanPair(seed=38), bx, by, 1e-3)
+        reference = four_call_record(GanPair(seed=38), bx, by)
+        assert record.keys() == reference.keys()
+        for key, value in reference.items():
+            assert abs(record[key] - value) <= 1e-12, key
+
+    @pytest.mark.parametrize("shape_y", [(1, 1, 8, 8), (1, 2, 16, 16)],
+                             ids=["spatial", "channels"])
+    def test_rejects_mismatched_domains_before_any_net_runs(self, monkeypatch,
+                                                            shape_y):
+        calls = []
+        for net in (GeneratorNet, DiscriminatorNet):
+            monkeypatch.setattr(net, "__call__", lambda self, x: calls.append(1))
+        with pytest.raises(DimensionError,
+                           match=re.escape(f"(1, 1, 16, 16) and {shape_y}")):
+            gan_train_step(GanPair(seed=39), Tensor(np.zeros((1, 1, 16, 16))),
+                           Tensor(np.zeros(shape_y)), 1e-3)
         assert calls == []
 
     def test_record_holds_the_discriminator_phase_scores(self):

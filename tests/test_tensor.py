@@ -478,6 +478,44 @@ class TestConcatChannels:
             T.concat_channels(*(Tensor(np.zeros(s)) for s in shapes))
 
 
+class TestBatchOps:
+    def test_slice_grad_check(self):
+        rng = np.random.default_rng(31)
+        w = Tensor(rng.random((2, 2, 3, 3)))
+        x = Tensor(rng.random((4, 2, 3, 3)), requires_grad=True)
+        f = lambda t: T.reduce_sum(T.mul(T.batch_slice(t, 1, 3), w))
+        assert grad_check(f, x) < 1e-4
+
+    def test_both_halves_sum_back_in_place(self):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.random((3, 1, 2, 2)), requires_grad=True)
+        wa, wb = rng.random((1, 1, 2, 2)), rng.random((2, 1, 2, 2))
+        T.add(T.reduce_sum(T.mul(T.batch_slice(x, 0, 1), Tensor(wa))),
+              T.reduce_sum(T.mul(T.batch_slice(x, 1, 3), Tensor(wb)))).backward()
+        assert np.array_equal(x.grad, np.concatenate([wa, wb]))
+
+    @pytest.mark.parametrize("start, stop", [(1, 1), (2, 1), (-1, 1), (0, 4), (3, 4)])
+    def test_slice_rejects_empty_or_out_of_range(self, start, stop):
+        with pytest.raises(DimensionError, match="out of range"):
+            T.batch_slice(Tensor(np.zeros((3, 1, 2, 2))), start, stop)
+
+    def test_concat_round_trip(self):
+        rng = np.random.default_rng(33)
+        a = Tensor(rng.random((1, 1, 2, 2)), requires_grad=True)
+        b = Tensor(rng.random((2, 1, 2, 2)), requires_grad=True)
+        both = T.concat_batch([a, b])
+        assert np.array_equal(T.batch_slice(both, 0, 1).data, a.data)
+        assert np.array_equal(T.batch_slice(both, 1, 3).data, b.data)
+        g = rng.random((3, 1, 2, 2))
+        T.reduce_sum(T.mul(both, Tensor(g))).backward()
+        assert np.array_equal(a.grad, g[:1]) and np.array_equal(b.grad, g[1:])
+
+    def test_concat_rejects_mismatched_images(self):
+        with pytest.raises(DimensionError):
+            T.concat_batch([Tensor(np.zeros((1, 1, 4, 4))),
+                            Tensor(np.zeros((1, 1, 4, 2)))])
+
+
 class TestElementwise:
     def test_sigmoid_zero(self):
         assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
