@@ -227,6 +227,43 @@ def _tap_products(src, g, ty, tx):
     return prods.sum(axis=2)
 
 
+def _taps(n, k, stride, dilation):
+    """(tap, window) for each of ``k`` taps along an axis of ``n`` conv outputs."""
+    return [(i, slice(i * dilation, i * dilation + stride * (n - 1) + 1, stride))
+            for i in range(k)]
+
+
+def _conv_transpose(g, w, stride, dilation, padding, h, wd):
+    """The transpose of a conv by ``w`` ``[O,C,k,k]`` of a ``[B,C,h,wd]`` input,
+    applied to ``g`` ``[B,O,Ho,Wo]``: ``conv2d``'s input gradient, ``[B,C,h,wd]``.
+
+    Input row ``r + stride*q`` takes ``g`` row ``q + c`` through tap i, where
+    ``r + padding - i*dilation = c*stride``: each of the ``stride**2`` phases
+    of the input is a stride-1 conv, by the taps that reach it, of ``g``
+    copied once, channels-last, to row ``lead`` of a zero-padded buffer, and
+    is written into its strided view of the result.
+    """
+    b, _, hout, wout = g.shape
+    k = w.shape[2]
+    lead = max(0, -((padding - dilation * (k - 1)) // stride))
+    gp = _channels_last(g, lead, lead + max(hout, (h - 1 + padding) // stride + 1),
+                        lead + max(wout, (wd - 1 + padding) // stride + 1))
+    dx = np.empty((b, w.shape[1], h, wd))
+
+    def phase(r, n):
+        """(tap, window of gp) for each tap that reaches phase r of an axis."""
+        nq = -(-(n - r) // stride)
+        return [(i, slice(lead + c // stride, lead + c // stride + nq))
+                for i in range(k) for c in [r + padding - i * dilation]
+                if c % stride == 0]
+
+    for ry in range(min(stride, h)):
+        for rx in range(min(stride, wd)):
+            _conv_blocks(gp, w, phase(ry, h), phase(rx, wd),
+                         dx[:, :, ry::stride, rx::stride])
+    return dx
+
+
 def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
     """Dilated, strided, zero-padded 2-d convolution as one GEMM per tap.
 
@@ -236,19 +273,16 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
     ``CONV_BLOCK_BYTES`` (``_conv_blocks``, which folds a one-channel
     source's taps into one GEMM); the tape keeps the copy.
 
-    The input gradient runs through the same kernel as a transposed conv: g
-    is copied once, channels-last, into a zero-padded buffer, and each of
-    the ``stride**2`` phases of the input (rows ``r + stride*q``, and the
-    same for columns) is a stride-1 conv of that buffer with the taps that
-    reach it, in and out channels swapped, written into its strided view of
-    the input gradient. At stride 1 that is one conv with the flipped kernel;
-    at stride 2 no multiply is by an inserted zero. It is skipped when ``x``
-    needs no gradient. The weight gradient (``_tap_products``) copies each
-    tap's window of a block into one reused buffer, runs one batched
-    ``[nb,O,Ho*Wo] x [nb,Ho*Wo,C]`` GEMM into a ``[k,k,B,O,C]`` buffer of
-    per-image products, and sums them over the images with one ``sum``. The
-    output, each image's input gradient, and the weight gradient are the same
-    bits at any block size.
+    The input gradient runs through the same kernel as a transposed conv
+    (``_conv_transpose``): one stride-1 conv of g per phase of the input, in
+    and out channels swapped. At stride 1 that is one conv with the flipped
+    kernel; at stride 2 no multiply is by an inserted zero. It is skipped
+    when ``x`` needs no gradient. The weight gradient (``_tap_products``)
+    copies each tap's window of a block into one reused buffer, runs one
+    batched ``[nb,O,Ho*Wo] x [nb,Ho*Wo,C]`` GEMM into a ``[k,k,B,O,C]``
+    buffer of per-image products, and sums them over the images with one
+    ``sum``. The output, each image's input gradient, and the weight
+    gradient are the same bits at any block size.
 
     An unstrided, unpadded 1x1 conv copies nothing: NCHW viewed as
     ``[B,C,H*W]`` is one ``[O,C] x [B,C,H*W]`` ``matmul``, whose tape gives
@@ -271,15 +305,10 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
         raise DimensionError(
             f"conv2d output extent nonpositive for input {h}x{wd}, "
             f"k={k}, stride={stride}, dilation={dilation}, padding={padding}")
-
-    def taps(n):  # (tap, window of xc) for each tap along an axis of n outputs
-        return [(i, slice(i * dilation, i * dilation + stride * (n - 1) + 1, stride))
-                for i in range(k)]
-
     if k == 1 and stride == 1 and padding == 0:
         return reshape(matmul(reshape(w, (cout, cin)),
                               reshape(x, (b, cin, h * wd))), (b, cout, h, wd))
-    ty, tx = taps(hout), taps(wout)
+    ty, tx = _taps(hout, k, stride, dilation), _taps(wout, k, stride, dilation)
     xc = _channels_last(x.data, padding, h + 2 * padding, wd + 2 * padding)
     out = np.empty((b, cout, hout, wout))
     _conv_blocks(xc, w.data.transpose(1, 0, 2, 3), ty, tx, out)
@@ -288,74 +317,43 @@ def conv2d(x: Tensor, w: Tensor, stride=1, dilation=1, padding=0) -> Tensor:
         dw = _tap_products(xc, g, ty, tx).transpose(2, 3, 0, 1).copy()
         if not x.requires_grad:
             return (None, dw)
-        # input row r + stride*q takes g row q + c through tap i, where
-        # r + padding - i*dilation = c*stride: each phase r of the input is a
-        # stride-1 conv of g, which sits at row `lead` of a zero-padded copy
-        lead = max(0, -((padding - dilation * (k - 1)) // stride))
-        gp = _channels_last(g, lead, lead + max(hout, (h - 1 + padding) // stride + 1),
-                            lead + max(wout, (wd - 1 + padding) // stride + 1))
-        dx = np.empty((b, cin, h, wd))
-
-        def phase(r, n):
-            """(tap, window of gp) for each tap that reaches phase r of an axis."""
-            nq = -(-(n - r) // stride)
-            return [(i, slice(lead + c // stride, lead + c // stride + nq))
-                    for i in range(k) for c in [r + padding - i * dilation]
-                    if c % stride == 0]
-
-        for ry in range(min(stride, h)):
-            for rx in range(min(stride, wd)):
-                _conv_blocks(gp, w.data, phase(ry, h), phase(rx, wd),
-                             dx[:, :, ry::stride, rx::stride])
-        return (dx, dw)
+        return (_conv_transpose(g, w.data, stride, dilation, padding, h, wd), dw)
 
     return _node(out, (x, w), backward)
-
-
-# UPSAMPLE_TAPS[r, a, i] is 1 where 3x3 tap i reads window r + a of the
-# 1-padded input on phase r of a nearest x2 upsample's output: phase 0 takes
-# w0 at window 0 and w1+w2 at window 1, phase 1 w0+w1 at 1 and w2 at 2
-UPSAMPLE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], float)
 
 
 def upsample_conv2d(x: Tensor, w: Tensor) -> Tensor:
     """``conv2d(upsample_nearest(x, 2), w, padding=1)`` for a 3x3 ``w``, never upsampled.
 
-    Output phase (ry, rx), rows ``ry::2`` and columns ``rx::2``, is a 2x2 conv
-    of the 1-padded input by ``w``'s taps summed through ``UPSAMPLE_TAPS``
-    (Shi et al., arXiv 1609.05158). Backward maps each phase's weight
-    gradient back through the map and sums the phases' transposed convs.
+    That is the transpose of a stride-2, padding-1 conv by the 4x4 kernel
+    ``k4[c, o, s, t] = sum over a, b in {0, 1} of w[o, c, a+2-s, b+2-t]``:
+    ``w`` flipped, in and out channels swapped, added into the four 3x3
+    windows of a 4x4 grid (the sub-pixel view, Shi et al., arXiv 1609.05158).
+    The output is ``_conv_transpose`` of ``x`` by ``k4``, four phases of 2x2
+    taps. Backward copies g once, channels-last: the input gradient is that
+    stride-2 conv of g by ``k4``, and the weight gradient its tap products
+    with ``x``, whose four windows are summed back and flipped into ``dw``.
     """
     if x.data.ndim != 4 or w.data.shape[1:] != (x.data.shape[1], 3, 3):
         raise DimensionError("upsample_conv2d needs a 4-d input and a [O,C,3,3] "
                              f"weight, got {x.data.shape} and {w.data.shape}")
     (b, cin, h, wd), cout = x.data.shape, w.data.shape[0]
-    # kernels[ry, rx] is phase (ry, rx)'s [O,C,2,2] weight
-    kernels = np.einsum("yai,xbj,ocij->yxocab", UPSAMPLE_TAPS, UPSAMPLE_TAPS, w.data)
-    xc = _channels_last(x.data, 1, h + 2, wd + 2)
-    out = np.empty((b, cout, 2 * h, 2 * wd))
-    phases = [(ry, rx) for ry in (0, 1) for rx in (0, 1)]
-
-    def taps(r, n, flip=False):  # (tap, window) of phase r; of g's padded copy if flip
-        starts = (2 - r, 1 - r) if flip else (r, r + 1)
-        return [(a, slice(s, s + n)) for a, s in enumerate(starts)]
-
-    for ry, rx in phases:
-        _conv_blocks(xc, kernels[ry, rx].transpose(1, 0, 2, 3), taps(ry, h),
-                     taps(rx, wd), out[:, :, ry::2, rx::2])
+    k4 = np.zeros((cin, cout, 4, 4))
+    windows = [(slice(a, a + 3), slice(c, c + 3)) for a in (0, 1) for c in (0, 1)]
+    for sy, sx in windows:
+        k4[:, :, sy, sx] += w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    out = _conv_transpose(x.data, k4, 2, 1, 1, 2 * h, 2 * wd)
 
     def backward(g):
-        prods = [_tap_products(xc, g[:, :, ry::2, rx::2], taps(ry, h), taps(rx, wd))
-                 for ry, rx in phases]
-        dw = np.einsum("yai,xbj,yxaboc->ocij", UPSAMPLE_TAPS, UPSAMPLE_TAPS,
-                       np.reshape(prods, (2, 2, 2, 2, cout, cin)), order="C")
+        ty, tx = _taps(h, 4, 2, 1), _taps(wd, 4, 2, 1)
+        gc = _channels_last(g, 1, 2 * h + 2, 2 * wd + 2)
+        dk4 = _tap_products(gc, x.data, ty, tx)  # indexed [s, t, c, o]
+        dw = sum(dk4[sy, sx] for sy, sx in windows)[::-1, ::-1]
+        dw = dw.transpose(3, 2, 0, 1).copy()
         if not x.requires_grad:
             return (None, dw)
-        dx, part = np.zeros((b, cin, h, wd)), np.empty((b, cin, h, wd))
-        for ry, rx in phases:
-            gp = _channels_last(g[:, :, ry::2, rx::2], 1, h + 2, wd + 2)
-            _conv_blocks(gp, kernels[ry, rx], taps(ry, h, True), taps(rx, wd, True), part)
-            dx += part
+        dx = np.empty((b, cin, h, wd))
+        _conv_blocks(gc, k4.transpose(1, 0, 2, 3), ty, tx, dx)
         return (dx, dw)
 
     return _node(out, (x, w), backward)
@@ -520,17 +518,14 @@ def _normalize2d(x, gamma, beta, axes, name, relu):
         if relu:  # g is read only: add() hands the same array to both parents
             g = g * (out > 0)
         a = g * xhat
-        dgamma = a.sum(axis=(0, 2, 3))
-        dbeta = g.sum(axis=(0, 2, 3))
-        dxhat = g * gamma4
-        s1 = dxhat.sum(axis=axes, keepdims=True)
-        s2 = np.multiply(dxhat, xhat, out=a).sum(axis=axes, keepdims=True)
-        # dx = (inv_std/n) * (n*dxhat - s1 - xhat*s2), in that order
-        dxhat *= n
-        dxhat -= s1
-        dxhat -= np.multiply(xhat, s2, out=a)
-        dxhat *= inv_std / n
-        return (dxhat, dgamma, dbeta)
+        sg, sgx = (v.sum(axis=axes, keepdims=True) for v in (g, a))
+        # dx = gamma*inv_std/n * (n*g - sum(g) - xhat*sum(g*xhat)), in that order
+        dx = n * g
+        dx -= sg
+        dx -= np.multiply(xhat, sgx, out=a)
+        dx *= gamma4 * inv_std / n
+        # dgamma and dbeta: the same sums, over the images too
+        return (dx, sgx.sum(axis=0).reshape(c), sg.sum(axis=0).reshape(c))
 
     return _node(out, (x, gamma, beta), backward)
 

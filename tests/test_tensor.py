@@ -307,8 +307,10 @@ class TestUpsampleConv2d:
             results.append((out.data, x.grad, w.grad))
         return results
 
-    @pytest.mark.parametrize("shape", [(1, 3, 5, 6), (3, 2, 5, 6), (2, 1, 3, 7)],
-                             ids=["batch1_odd_h", "batch3", "one_channel"])
+    @pytest.mark.parametrize("shape", [(1, 3, 5, 6), (3, 2, 5, 6), (2, 1, 3, 7),
+                                       (1, 2, 1, 1), (2, 3, 1, 4)],
+                             ids=["batch1_odd_h", "batch3", "one_channel",
+                                  "one_pixel", "one_row"])
     def test_matches_composition(self, shape):
         rng = np.random.default_rng(13)
         b, c, h, wd = shape
@@ -333,8 +335,19 @@ class TestUpsampleConv2d:
             T.reduce_sum(T.mul(out, Tensor(g[rows]))).backward()
             return out.data, x.grad, w.grad
 
-        per_image = 5 * 6 * 12 * 8  # a phase's [5,6] output, 12 tap-channels
-        blocked, whole = run(3 * per_image - 1), run(5 * per_image)
+        # a [5,6] block of max(C, O) = 4 channels: every pass of the 5 images,
+        # forward and backward, then runs in blocks of 2, 2 and 1
+        per_image = 5 * 6 * 4 * 8
+        sizes, block_images = [], T._block_images
+
+        def recorded(*args):
+            sizes.append(block_images(*args))
+            return sizes[-1]
+
+        monkeypatch.setattr(T, "_block_images", recorded)
+        blocked = run(3 * per_image - 1)
+        assert sizes and set(sizes) == {2}
+        whole = run(5 * per_image)
         for got, want in zip(blocked, whole):
             assert np.array_equal(got, want)
         for i in range(5):
