@@ -17,10 +17,11 @@ from .training import (build_net, evaluate, export_maps, format_ablation_table,
                        run_ablation, train)
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with a usage error raised as ``ConfigurationError``, not exit 2.
+    r"""argparse with a usage error raised as ``ConfigurationError``, not exit 2.
 
     It also reads a negative number in exponent notation ("-5e-4") as a
-    value: argparse before Python 3.13 takes it for an option name.
+    value: argparse's own pattern, ``^-\d+$|^-\d*\.\d+$``, does not match
+    it, so argparse takes it for an option name.
     """
 
     def __init__(self, *args, **kwargs):

@@ -100,7 +100,7 @@ def read_json_object(path) -> dict:
         raise ConfigurationError(f"config file not found: {p}")
     try:
         d = json.loads(p.read_text())
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nested too deep
         raise ConfigurationError(f"malformed config file {p}: {e}") from None
     if not isinstance(d, dict):
         raise ConfigurationError(f"config file {p} must hold a JSON object")

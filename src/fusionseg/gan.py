@@ -1,11 +1,13 @@
 """Unpaired SAR-to-optical translation with a cycle-consistent GAN pair.
 
 Two generators and two discriminators trained alternately with the
-least-squares adversarial loss; at the equilibrium both discriminators score
-real and fake near 0.5. Only the SAR-to-optical generator is consumed
-downstream by the segmentation net. Every net normalizes each image on its
-own (instance norm), so neither a translation nor a score depends on the
-rest of its batch.
+least-squares adversarial loss, whose optimum has both discriminators score
+real and fake 0.5 (Mao et al., arXiv 1611.04076). Criterion 5's 32 px toy
+run (500 iterations, seed 42) ends short of it, at d_real 0.632 and d_fake
+0.355, and that gap holds at 3,000 iterations. Only the SAR-to-optical
+generator is consumed downstream by the segmentation net. Every net
+normalizes each image on its own (instance norm), so neither a translation
+nor a score depends on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ def gan_train_step(pair: GanPair, batch_x: Tensor, batch_y: Tensor,
                    lr: float) -> dict:
     """One alternating update; returns the component losses, and as ``d_real`` and
     ``d_fake`` the discriminator phase's mean scores (the mean of both nets'
-    means) on real and on fake images, both near 0.5 at the equilibrium."""
+    means) on real and on fake images: 0.5 at the least-squares optimum, while
+    criterion 5's toy run ends near d_real 0.63 and d_fake 0.36."""
     n, m = batch_x.data.shape[0], batch_y.data.shape[0]
     if n == 0 or m == 0:
         raise DimensionError("gan_train_step requires nonempty batches")

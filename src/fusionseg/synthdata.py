@@ -185,7 +185,7 @@ def load_manifest(data_dir) -> dict:
         raise ConfigurationError(f"no dataset manifest at {path}")
     try:
         manifest = json.loads(path.read_text())
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nested too deep
         raise IOError_(f"malformed manifest {path}: {e}") from None
     if not (isinstance(manifest, dict) and isinstance(manifest.get("splits"), dict)):
         raise IOError_(f"{path}: not a JSON object with a 'splits' object")

@@ -1,13 +1,15 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation.
 
-All values are float64. Ops build an acyclic tape; ``Tensor.backward`` walks
-it in reverse topological order and accumulates gradients additively, so a
-tensor consumed twice receives the sum of both path gradients. Inside a
+All values are float64. Ops build an acyclic tape in creation order, so an
+op's output is newer than its inputs; ``Tensor.backward`` sweeps it newest
+first and sums a tensor's path gradients, newest consumer first. Inside a
 ``no_grad()`` block ops record no tape.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,7 +20,7 @@ from .errors import ContractError, DimensionError, DomainError
 class Tensor:
     """Dense float64 array participating in a differentiation graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_seq")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -26,6 +28,7 @@ class Tensor:
         self.grad = None
         self._parents = tuple(_parents)
         self._backward_fn = _backward_fn
+        self._seq = next(_creation)
 
     def detach(self):
         """Leaf copy sharing no graph history (data is copied)."""
@@ -38,43 +41,37 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Populate ``grad`` on every requires_grad ancestor of a scalar loss."""
+        """Populate ``grad`` on every requires_grad ancestor of a scalar loss.
+
+        The one rule: a node is newer than its parents. So popping the pending
+        op output with the highest ``_seq`` first reaches each one after all
+        of its consumers, with its gradient complete. A leaf adds each
+        gradient into ``grad`` as it arrives, so a parameter's gradient is not
+        held to the end of the sweep. Either way a tensor's path gradients sum
+        newest consumer first, and a node that receives no gradient is never
+        visited.
+        """
         if self.data.size != 1:
             raise ContractError("backward requires a scalar loss tensor")
-        topo = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-        grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad and node._backward_fn is None:
-                node.grad = g if node.grad is None else node.grad + g
-            if node._backward_fn is None:
-                continue
-            parent_grads = node._backward_fn(g)
-            for p, pg in zip(node._parents, parent_grads):
+        grads, pending = {}, []
+        arrivals = [(self, np.ones_like(self.data))]
+        while True:
+            for p, pg in arrivals:
                 if pg is None or not p.requires_grad:
                     continue
-                if id(p) in grads:
-                    grads[id(p)] = grads[id(p)] + pg
+                if p._backward_fn is None:
+                    p.grad = pg if p.grad is None else p.grad + pg
+                elif p._seq in grads:
+                    grads[p._seq] = grads[p._seq] + pg
                 else:
-                    grads[id(p)] = pg
+                    grads[p._seq] = pg
+                    heapq.heappush(pending, (-p._seq, p))
+            if not pending:
+                return
+            node = heapq.heappop(pending)[1]
+            arrivals = zip(node._parents, node._backward_fn(grads.pop(node._seq)))
 
-
+_creation = itertools.count()  # Tensor._seq: creation order, one per process
 _recording = True  # False inside no_grad(); one switch for the process
 
 

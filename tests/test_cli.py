@@ -483,6 +483,7 @@ class TestConfigFile:
         json.dumps({"width_mult": 1.0}),
         json.dumps({"depth_mult": 1.0}),
         json.dumps({"lambda_cyc": 10.0}),
+        "[" * 100_000,
     ], ids=["lr_min_above_lr_init", "unknown_key", "string_for_int",
             "bool_for_int", "unknown_ablation_key", "ablation_not_object",
             "not_an_object", "malformed_json", "negative_seed",
@@ -492,7 +493,8 @@ class TestConfigFile:
             "huge_width_mult", "huge_depth_mult", "negative_gan_batch_size",
             "zero_gan_batch_size", "negative_gan_iterations", "negative_lr",
             "negative_gan_lr", "negative_weight_decay", "negative_lambda_cyc",
-            "removed_width_mult", "removed_depth_mult", "removed_lambda_cyc"])
+            "removed_width_mult", "removed_depth_mult", "removed_lambda_cyc",
+            "deeply_nested_json"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
@@ -541,6 +543,10 @@ def _truncated_manifest(data):
     path.write_text(path.read_text()[:40])
 
 
+def _deeply_nested_manifest(data):
+    (data / "manifest.json").write_text("[" * 100_000)
+
+
 def _edit_manifest(edit):
     def apply(data):
         path = data / "manifest.json"
@@ -575,9 +581,10 @@ def _small_image(name):
     (_edit_manifest(_int_first_train_mask), "string sar, optical and mask"),
     (_small_image("sar_00001.pgm"), "sar_00001.pgm: extent (16, 16)"),
     (_small_image("mask_00000.pgm"), "mask_00000.pgm: extent (16, 16)"),
+    (_deeply_nested_manifest, "malformed manifest"),
 ], ids=["truncated_json", "not_an_object", "no_splits", "splits_not_object",
         "split_not_list", "entry_without_optical", "non_string_path",
-        "small_second_sar", "small_first_mask"])
+        "small_second_sar", "small_first_mask", "deeply_nested_json"])
 def test_bad_dataset_is_one_io_line(tiny_data, tmp_path, capsys, corrupt,
                                     message):
     corrupt(tiny_data)

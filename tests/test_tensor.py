@@ -594,6 +594,90 @@ class TestBackward:
             T.add(T.mul(t, t), T.scale(t, 3.0))), x)
         assert err < 1e-8
 
+    def test_five_consumers_sum_newest_first(self):
+        # a leaf read by five ops, as ASPP's input is
+        rng = np.random.default_rng(8)
+        x = rand(rng, 16)
+        cs = [Tensor(rng.normal(size=16)) for _ in range(5)]
+
+        def f(t):
+            s = T.mul(t, cs[0])
+            for c in cs[1:]:
+                s = T.add(s, T.mul(t, c))
+            return T.reduce_sum(T.mul(s, s))
+
+        s = x.data * cs[0].data
+        for c in cs[1:]:
+            s = s + x.data * c.data
+        g1, g2, g3, g4, g5 = ((s + s) * c.data for c in cs)
+        f(x).backward()
+        newest_first = (((g5 + g4) + g3) + g2) + g1
+        assert np.array_equal(x.grad, newest_first)
+        assert not np.array_equal(newest_first, (((g1 + g2) + g3) + g4) + g5)
+        assert grad_check(f, x) < 1e-4
+
+    def test_each_backward_fn_runs_once(self):
+        # a diamond (a feeds b and c, which meet in d) plus a fan-out of a
+        x = rand(np.random.default_rng(9), 3)
+        a = T.mul(x, x)
+        b = T.sigmoid(a)
+        c = T.scale(a, 2.0)
+        d = T.mul(b, c)
+        e = T.add(d, a)
+        loss = T.reduce_sum(e)
+        calls = []
+
+        def counted(name, fn):
+            return lambda g: calls.append(name) or fn(g)
+
+        for name, node in dict(a=a, b=b, c=c, d=d, e=e, loss=loss).items():
+            node._backward_fn = counted(name, node._backward_fn)
+        loss.backward()
+        assert sorted(calls) == ["a", "b", "c", "d", "e", "loss"]
+
+    def test_node_without_gradient_is_never_swept(self):
+        x = rand(np.random.default_rng(10), 3)
+
+        def never(g):
+            raise AssertionError("swept a node that has no gradient")
+
+        dead = T.mul(x, x)  # ancestor, but its consumer gives it no gradient
+        dead._backward_fn = never
+        side = T.sigmoid(x)  # never reaches the loss
+        side._backward_fn = never
+        y = Tensor(x.data * 2, requires_grad=True, _parents=(dead, x),
+                   _backward_fn=lambda g: (None, 2 * g))
+        T.reduce_sum(y).backward()
+        assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_long_chain(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = x
+        for _ in range(20_000):
+            y = T.scale(y, 1.0, 1.0)
+        T.reduce_sum(y).backward()
+        assert np.array_equal(x.grad, [1.0, 1.0])
+
+    def test_every_op_output_is_newer_than_its_parents(self):
+        from fusionseg.losses import bce_sigmoid_loss, composite_loss, dice_loss
+        from fusionseg.segnet import AblationConfig, FusionSegNet
+        net = FusionSegNet(AblationConfig(use_attention=True), seed=11)
+        rng = np.random.default_rng(12)
+        target = Tensor((rng.random((2, 1, 16, 16)) > 0.5).astype(float))
+        logits = net(Tensor(rng.random((2, 1, 16, 16))))
+        loss = composite_loss(dice_loss(T.sigmoid(logits), target),
+                              bce_sigmoid_loss(logits, target))
+        seen, stack, edges = set(), [loss], 0
+        while stack:
+            node = stack.pop()
+            for p in node._parents:
+                assert node._seq > p._seq
+                edges += 1
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        assert edges > 100
+
 
 def taped(x):
     """An op on a grad-requiring input records its tape."""
